@@ -1,0 +1,75 @@
+"""Golden-output test: stdout and exit status of fixed CLI invocations.
+
+Every case runs ``humbert.cli.main`` in-process and compares its stdout byte
+for byte with ``tests/golden/<name>.out``; the exit status is part of the
+case.  Refactors of the CLI or of the layers below it must keep these files
+unchanged.  To record them afresh (only when an output change is intended):
+
+    python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FORMATS = ("text", "json", "csv")
+
+
+def _case(name, argv, code=0):
+    return pytest.param(argv, code, id=name)
+
+
+CASES = [
+    *(_case(f"{name}-{fmt}", [*argv, "--format", fmt])
+      for name, argv in (
+          ("cohen", ["cohen", "--nmax", "12"]),
+          ("hurwitz", ["hurwitz", "12"]),
+          ("classnum", ["classnum", "-160"]),
+          ("forms", ["forms", "--d0", "30"]),
+          ("hdn", ["hdn", "10", "1", "8"]),
+          ("verify", ["verify", "--d0", "15", "--nmax", "20"]),
+          ("kronecker", ["kronecker", "--nmax", "40"]),
+          ("verify-d0-1", ["verify", "--d0", "1", "--nmax", "5"]),
+      )
+      for fmt in FORMATS),
+    _case("verify-form-json",
+          ["verify", "--d0", "15", "--nmax", "9", "--form", "8,4,8", "--format", "json"]),
+    _case("verify-jobs-json",
+          ["verify", "--d0", "15", "--nmax", "20", "--format", "json", "--jobs", "8"]),
+    _case("selfcheck", ["selfcheck", "--d0", "10"]),
+    _case("verify-non-squarefree", ["verify", "--d0", "12", "--nmax", "4"], code=2),
+]
+
+
+def run_cli(argv):
+    from humbert.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv,code", CASES)
+def test_golden_output(request, argv, code):
+    expected = (GOLDEN_DIR / f"{request.node.callspec.id}.out").read_bytes()
+    got, out = run_cli(argv)
+    assert (got, out.encode()) == (code, expected)
+
+
+def record() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case in CASES:
+        argv, code = case.values
+        got, out = run_cli(argv)
+        assert got == code, f"{case.id}: exit {got}, expected {code}"
+        (GOLDEN_DIR / f"{case.id}.out").write_bytes(out.encode())
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    record()
