@@ -69,11 +69,6 @@ def gl2_canonical(q: BQF) -> BQF:
     return r if r.b >= 0 else BQF(r.a, -r.b, r.c)
 
 
-def is_equivalent(q1: BQF, q2: BQF) -> bool:
-    """SL(2,Z)-equivalence via reduced representatives."""
-    return reduce(q1) == reduce(q2)
-
-
 def is_ambiguous(q: BQF) -> bool:
     """True iff the form is SL(2,Z)-equivalent to its mirror image."""
     return reduce(q) == reduce(q.reflected())

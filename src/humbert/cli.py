@@ -2,21 +2,22 @@
 
 Commands: cohen, hurwitz, classnum, forms, hdn, verify, kronecker, selfcheck.
 Exit codes: 0 success / everything verified, 1 mathematical mismatch,
-2 usage or configuration error.  Rational values are printed as "p/q"
-strings, never as decimals, in every output format.
+2 usage or configuration error, 141 stdout closed early (broken pipe).
+Rational values are printed as "p/q" strings, never as decimals, in every
+output format.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import random
+import signal
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__, bqf, genus, quat, relations
@@ -34,10 +35,6 @@ SELFCHECK_Z_SAMPLES = 20
 def fmt_rat(x: Fraction | int) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +88,24 @@ def _cache_path(args) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 
 
-def emit_json(command: str, params: dict, rows: list[dict], all_match: bool, extra: dict | None = None) -> None:
-    doc = {"command": command, "params": params, "rows": rows, "all_match": all_match}
-    if extra:
-        doc.update(extra)
-    print(json.dumps(doc, sort_keys=True))
-
-
-def emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def emit(args, command: str, params: dict, columns: list[str], rows, text,
+         all_match: bool = True, extra: dict | None = None) -> None:
+    """Print a result as json or csv (``rows``: dicts keyed by ``columns``) or
+    as the lines of ``text``; only the iterable the format needs is consumed."""
+    if args.format == "json":
+        doc = {"command": command, "params": params, "rows": list(rows), "all_match": all_match}
+        doc.update(extra or {})
+        print(json.dumps(doc, sort_keys=True))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[col] for col in columns] for row in rows)
+    else:
+        for line in text:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +114,22 @@ def emit_csv(header: list[str], rows: list[list]) -> None:
 
 def cmd_cohen(args) -> int:
     coeffs = cohen_coefficients(args.nmax)
-    rows = [{"n": n, "a_n": a} for n, a in enumerate(coeffs)]
-    if args.format == "json":
-        emit_json("cohen", {"nmax": args.nmax}, rows, True, {"coefficients": coeffs})
-    elif args.format == "csv":
-        emit_csv(["n", "a_n"], [[n, a] for n, a in enumerate(coeffs)])
-    else:
-        for n, a in enumerate(coeffs):
-            print(f"{n} {a}")
+    emit(args, "cohen", {"nmax": args.nmax}, ["n", "a_n"],
+         ({"n": n, "a_n": a} for n, a in enumerate(coeffs)),
+         (f"{n} {a}" for n, a in enumerate(coeffs)),
+         extra={"coefficients": coeffs})
     return 0
 
 
 def cmd_hurwitz(args) -> int:
-    value = bqf.hurwitz(args.n)
-    if args.format == "json":
-        emit_json("hurwitz", {"n": args.n}, [{"n": args.n, "H": fmt_rat(value)}], True)
-    elif args.format == "csv":
-        emit_csv(["n", "H"], [[args.n, fmt_rat(value)]])
-    else:
-        print(fmt_rat(value))
+    value = fmt_rat(bqf.hurwitz(args.n))
+    emit(args, "hurwitz", {"n": args.n}, ["n", "H"], [{"n": args.n, "H": value}], [value])
     return 0
 
 
 def cmd_classnum(args) -> int:
     value = bqf.class_number(args.d)
-    if args.format == "json":
-        emit_json("classnum", {"d": args.d}, [{"d": args.d, "h": value}], True)
-    elif args.format == "csv":
-        emit_csv(["d", "h"], [[args.d, value]])
-    else:
-        print(value)
+    emit(args, "classnum", {"d": args.d}, ["d", "h"], [{"d": args.d, "h": value}], [value])
     return 0
 
 
@@ -153,63 +138,28 @@ def _chars_str(form: genus.EligibleForm) -> str:
 
 
 def cmd_forms(args) -> int:
-    forms = genus.eligible_forms(args.d0)
-    rows = []
-    for f in forms:
-        rows.append({
-            "D0": f.d0, "a": f.form.a, "b": f.form.b, "c": f.form.c,
-            "kind": f.kind, "chars": _chars_str(f), "D": f.D, "N": f.N,
-            "ambiguous": f.ambiguous, "W": genus.atkin_lehner_group_order(f),
-            "relation_applies": f.D > 1,
-        })
-    if args.format == "json":
-        emit_json("forms", {"d0": args.d0}, rows, True)
-    elif args.format == "csv":
-        emit_csv(["D0", "a", "b", "c", "kind", "chars", "D", "N", "ambiguous", "W", "relation_applies"],
-                 [[r["D0"], r["a"], r["b"], r["c"], r["kind"], r["chars"], r["D"], r["N"],
-                   r["ambiguous"], r["W"], r["relation_applies"]] for r in rows])
-    else:
-        for r in rows:
-            note = "" if r["relation_applies"] else "  [D=1: relation not applicable]"
-            print(f"D0={r['D0']} form=({r['a']},{r['b']},{r['c']}) kind={r['kind']} "
-                  f"chars={r['chars']} D={r['D']} N={r['N']} ambiguous={r['ambiguous']} "
-                  f"|W|={r['W']}{note}")
+    rows = [{
+        "D0": f.d0, "a": f.form.a, "b": f.form.b, "c": f.form.c,
+        "kind": f.kind, "chars": _chars_str(f), "D": f.D, "N": f.N,
+        "ambiguous": f.ambiguous, "W": genus.atkin_lehner_group_order(f),
+        "relation_applies": f.D > 1,
+    } for f in genus.eligible_forms(args.d0)]
+    emit(args, "forms", {"d0": args.d0},
+         ["D0", "a", "b", "c", "kind", "chars", "D", "N", "ambiguous", "W", "relation_applies"], rows,
+         (f"D0={r['D0']} form=({r['a']},{r['b']},{r['c']}) kind={r['kind']} "
+          f"chars={r['chars']} D={r['D']} N={r['N']} ambiguous={r['ambiguous']} "
+          f"|W|={r['W']}" + ("" if r["relation_applies"] else "  [D=1: relation not applicable]")
+          for r in rows))
     return 0
 
 
 def cmd_hdn(args) -> int:
     level = ShimuraLevel(args.D, args.N)
-    value = weighted_class_number(level, args.m)
-    if args.format == "json":
-        emit_json("hdn", {"D": args.D, "N": args.N, "m": fmt_rat(args.m)},
-                  [{"D": args.D, "N": args.N, "m": fmt_rat(args.m), "H": fmt_rat(value)}], True)
-    elif args.format == "csv":
-        emit_csv(["D", "N", "m", "H"], [[args.D, args.N, fmt_rat(args.m), fmt_rat(value)]])
-    else:
-        print(fmt_rat(value))
+    value = fmt_rat(weighted_class_number(level, args.m))
+    m = fmt_rat(args.m)
+    emit(args, "hdn", {"D": args.D, "N": args.N, "m": m}, ["D", "N", "m", "H"],
+         [{"D": args.D, "N": args.N, "m": m, "H": value}], [value])
     return 0
-
-
-def _verify_rows(d0: int, nmax: int, jobs: int, only_form: bqf.BQF | None):
-    forms = genus.eligible_forms(d0)
-    if only_form is not None:
-        canon = bqf.gl2_canonical(only_form)
-        forms = [f for f in forms if f.form == canon]
-    active = [f for f in forms if f.D > 1]
-    skipped = [relations.skip_record(f) for f in forms if f.D == 1]
-    tasks = [(f, n) for f in active for n in relations.admissible_n(nmax)]
-
-    def run(task):
-        return relations.verification_row(*task)
-
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
-    # deterministic ordering regardless of executor: by form, then n
-    rows.sort(key=lambda r: (r.form.a, r.form.b, r.form.c, r.n))
-    return rows, skipped
 
 
 def _print_counterexample(row: relations.VerificationRow) -> None:
@@ -234,33 +184,26 @@ def cmd_verify(args) -> int:
             print("error: --form expects three comma-separated integers", file=sys.stderr)
             return 2
         only_form = bqf.BQF(a, b, c)
-    rows, skipped = _verify_rows(args.d0, args.nmax, args.jobs, only_form)
-    all_match = all(r.match for r in rows)
-    if args.format == "json":
-        emit_json("verify",
-                  {"d0": args.d0, "nmax": args.nmax, "jobs": args.jobs},
-                  [{"D0": r.d0, "a": r.form.a, "b": r.form.b, "c": r.form.c,
-                    "D": r.D, "N": r.N, "n": r.n, "lhs": fmt_rat(r.lhs),
-                    "rhs": fmt_rat(r.rhs), "match": r.match} for r in rows],
-                  all_match,
-                  {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c,
-                                "reason": s.reason} for s in skipped]})
-    elif args.format == "csv":
-        emit_csv(["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"],
-                 [[r.d0, r.form.a, r.form.b, r.form.c, r.D, r.N, r.n,
-                   fmt_rat(r.lhs), fmt_rat(r.rhs), r.match] for r in rows])
-    else:
-        for s in skipped:
-            print(f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}")
-        for r in rows:
-            print(f"D0={r.d0} form=({r.form.a},{r.form.b},{r.form.c}) D={r.D} N={r.N} "
-                  f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}")
-        print(f"all_match={all_match} rows={len(rows)} skipped={len(skipped)}")
+    report = relations.verify_relation(args.d0, args.nmax, only_form)
+    rows, skipped, all_match = report.rows, report.skipped, report.all_match
+    text = itertools.chain(
+        (f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}"
+         for s in skipped),
+        (f"D0={r.d0} form=({r.form.a},{r.form.b},{r.form.c}) D={r.D} N={r.N} "
+         f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}" for r in rows),
+        [f"all_match={all_match} rows={len(rows)} skipped={len(skipped)}"])
+    emit(args, "verify", {"d0": args.d0, "nmax": args.nmax, "jobs": args.jobs},
+         ["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"],
+         ({"D0": r.d0, "a": r.form.a, "b": r.form.b, "c": r.form.c,
+           "D": r.D, "N": r.N, "n": r.n, "lhs": fmt_rat(r.lhs),
+           "rhs": fmt_rat(r.rhs), "match": r.match} for r in rows),
+         text, all_match,
+         {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
+                      for s in skipped]})
     if cache:
         save_cache(cache)
     if not all_match:
-        first_bad = next(r for r in rows if not r.match)
-        _print_counterexample(first_bad)
+        _print_counterexample(next(r for r in rows if not r.match))
         return 1
     return 0
 
@@ -268,17 +211,12 @@ def cmd_verify(args) -> int:
 def cmd_kronecker(args) -> int:
     rows = relations.verify_kronecker(args.nmax)
     all_match = all(r.match for r in rows)
-    if args.format == "json":
-        emit_json("kronecker", {"nmax": args.nmax},
-                  [{"n": r.n, "lhs": fmt_rat(r.lhs), "rhs": fmt_rat(r.rhs),
-                    "match": r.match} for r in rows], all_match)
-    elif args.format == "csv":
-        emit_csv(["n", "lhs", "rhs", "match"],
-                 [[r.n, fmt_rat(r.lhs), fmt_rat(r.rhs), r.match] for r in rows])
-    else:
-        for r in rows:
-            print(f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}")
-        print(f"all_match={all_match}")
+    emit(args, "kronecker", {"nmax": args.nmax}, ["n", "lhs", "rhs", "match"],
+         ({"n": r.n, "lhs": fmt_rat(r.lhs), "rhs": fmt_rat(r.rhs), "match": r.match}
+          for r in rows),
+         itertools.chain((f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}"
+                          for r in rows), [f"all_match={all_match}"]),
+         all_match)
     return 0 if all_match else 1
 
 
@@ -287,14 +225,13 @@ def _selfcheck_form(form: genus.EligibleForm, rng: random.Random) -> tuple[bool,
     problems = []
     if quat.reduced_discriminant(ob) != ob.dn:
         problems.append("reduced discriminant != D*N")
-    of = quat.order_form(ob)
-    if bqf.gl2_canonical(of) != form.form:
-        problems.append("order form not GL2-equivalent to source")
     q = quat.order_form(ob)
+    if bqf.gl2_canonical(q) != form.form:
+        problems.append("order form not GL2-equivalent to source")
     for n in (1, 2, 3):
         for u in range(-2, 3):
             for v in range(-2, 3):
-                if quat.det3(quat.bordered_gram(ob, n, u, v)) != 4 * ob.dn * n - q(v, -u):
+                if quat.det(quat.bordered_gram(ob, n, u, v)) != 4 * ob.dn * n - q(v, -u):
                     problems.append(f"det identity fails at (n,u,v)=({n},{u},{v})")
     worst = 0.0
     for _ in range(SELFCHECK_Z_SAMPLES):
@@ -310,13 +247,9 @@ def _selfcheck_form(form: genus.EligibleForm, rng: random.Random) -> tuple[bool,
             b1, b2, b3 = rng.choice(b_choices), 2 * rng.randrange(-3, 4), 2 * rng.randrange(-3, 4)
         else:
             b1, b2, b3 = 2 * rng.randrange(-3, 4), rng.choice(b_choices), 2 * rng.randrange(-3, 4)
-        gram = quat.cm_singular_gram(ob, b1, b2, b3)
-        det = (gram[0][0] * (gram[1][1] * gram[2][2] - gram[1][2] ** 2)
-               - gram[0][1] * (gram[0][1] * gram[2][2] - gram[1][2] * gram[0][2])
-               + gram[0][2] * (gram[0][1] * gram[1][2] - gram[1][1] * gram[0][2]))
         bb1, bb2, bb3 = quat.trace_zero_basis(ob)
         elt = b1 * bb1 + b2 * bb2 + b3 * bb3
-        if det != 4 * elt.norm():
+        if quat.det(quat.cm_singular_gram(ob, b1, b2, b3)) != 4 * elt.norm():
             problems.append(f"cm gram determinant mismatch at b=({b1},{b2},{b3})")
             break
     detail = "; ".join(problems) if problems else f"max period residual {worst:.3e}"
@@ -378,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hdn", help="weighted class number of a Shimura level at m")
     p.add_argument("D", type=int)
     p.add_argument("N", type=int)
-    p.add_argument("m", type=parse_rat)
+    p.add_argument("m", type=Fraction)
     add_format(p)
     p.set_defaults(func=cmd_hdn)
 
@@ -387,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--form", type=str, default=None, metavar="a,b,c",
                    help="restrict to the GL2-class of this form")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; rows are computed in order in one thread")
     p.add_argument("--cache", type=str, default=None,
                    help=f"class-number cache file (or ${CACHE_ENV_VAR})")
     add_format(p)
@@ -409,10 +343,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`humbert ... | head`): point stdout at
+        # /dev/null so the flush at exit stays quiet, and report SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

@@ -281,21 +281,22 @@ def build_order(form: EligibleForm) -> OrderBasis:
     return ob
 
 
+def det(m):
+    """Exact determinant of a square matrix by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    total = 0
+    for j in range(len(m)):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * det(minor)
+    return total
+
+
 def reduced_discriminant(ob: OrderBasis) -> int:
     """Square root of |det(tr(e_i * conj(e_j)))|; equals D*N for an Eichler order."""
     t = [[(a * b.conjugate()).trace() for b in ob.e] for a in ob.e]
-    # exact 4x4 determinant by cofactor expansion
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j in range(len(m)):
-            if m[0][j] == 0:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(minor)
-        return total
-
     d = det(t)
     assert d.denominator == 1
     root = math.isqrt(abs(int(d)))
@@ -352,12 +353,6 @@ def bordered_gram(ob: OrderBasis, n: int, u: int, v: int) -> list[list[int]]:
     b = l1.inner(l2)
     c = l2.disc()
     return [[a, b, u], [b, c, v], [u, v, n]]
-
-
-def det3(m: list[list[int]]) -> int:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def trace_zero_basis(ob: OrderBasis) -> tuple[Quaternion, Quaternion, Quaternion]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import sigma
-from .bqf import BQF, hurwitz
+from .bqf import BQF, gl2_canonical, hurwitz
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
 from .shimura import ShimuraLevel, volume_term, weighted_class_number
@@ -176,12 +176,9 @@ def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
     return total
 
 
-def relation_lhs(form: EligibleForm, n: int) -> Fraction:
-    """Left-hand side of the class-number relation for an eligible form.
-
-    For four-times-primitive forms the collapsed sum over the quarter form is
-    evaluated independently and must agree.
-    """
+def _checked_lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
+    # For four-times-primitive forms the collapsed sum over the quarter form
+    # is evaluated independently and must agree.
     result = lattice_sum(form, n)
     if form.kind == "four_times_primitive":
         rewritten = _rewritten_quarter_sum(form, n)
@@ -189,7 +186,13 @@ def relation_lhs(form: EligibleForm, n: int) -> Fraction:
             raise RuntimeError(
                 f"rewritten quarter-form sum disagrees: {rewritten} != {result.value}"
             )
-    return result.value
+    return result
+
+
+def relation_lhs(form: EligibleForm, n: int) -> Fraction:
+    """Left-hand side of the class-number relation for an eligible form,
+    with the quarter-form cross-check applied where it exists."""
+    return _checked_lattice_sum(form, n).value
 
 
 _COHEN_CACHE: list[int] = []
@@ -212,12 +215,8 @@ def relation_rhs(form: EligibleForm, n: int) -> Fraction:
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
     """One exact comparison of the two sides, with the quarter-form
     cross-check applied where it exists."""
-    stats = lattice_sum(form, n)
+    stats = _checked_lattice_sum(form, n)
     lhs = stats.value
-    if form.kind == "four_times_primitive":
-        rewritten = _rewritten_quarter_sum(form, n)
-        if rewritten != lhs:
-            raise RuntimeError("rewritten quarter-form sum disagrees")
     a_n = cohen_coefficient(n)
     rhs = relation_rhs(form, n)
     return VerificationRow(
@@ -238,14 +237,19 @@ def admissible_n(nmax: int) -> list[int]:
     return [n for n in range(1, nmax + 1) if n % 4 in (0, 1)]
 
 
-def verify_relation(d0: int, nmax: int) -> VerificationReport:
+def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> VerificationReport:
     """Verify the relation for every eligible form of the given D0 with D > 1
-    and every n <= nmax congruent to 0 or 1 mod 4; exact comparisons."""
+    and every n <= nmax congruent to 0 or 1 mod 4, or only for the
+    GL(2,Z)-class of ``only_form``; exact comparisons, rows by form then n."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    forms = eligible_forms(d0)
+    if only_form is not None:
+        canon = gl2_canonical(only_form)
+        forms = [f for f in forms if f.form == canon]
     rows: list[VerificationRow] = []
     skipped: list[SkippedForm] = []
-    for form in eligible_forms(d0):
+    for form in forms:
         if form.D == 1:
             skipped.append(skip_record(form))
             continue

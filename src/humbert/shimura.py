@@ -129,7 +129,3 @@ def weighted_class_number(level: ShimuraLevel, m: int | Fraction) -> Fraction:
     if m.denominator != 1:
         return Fraction(0)
     return _weighted_class_number_int(level, int(m))
-
-
-def cache_clear() -> None:
-    _CACHE.clear()

@@ -87,7 +87,7 @@ def test_acceptance_5_quaternion_order_suite():
             for n in (1, 2, 5):
                 for u in range(-3, 4):
                     for v in range(-3, 4):
-                        got = quat.det3(quat.bordered_gram(ob, n, u, v))
+                        got = quat.det(quat.bordered_gram(ob, n, u, v))
                         assert got == 4 * ob.dn * n - q(v, -u), (form, n, u, v)
             for _ in range(20):
                 z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0))

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +200,21 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    for nmax in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", nmax)
+        assert (code, out) == (2, "")
+        assert "nmax must be >= 1" in err
+
+
+def test_broken_pipe_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HUMBERT_CACHE", None)
+    # about 110 kB of output: more than a pipe holds, so writes outlive the reader
+    proc = subprocess.Popen([sys.executable, "-m", "humbert", "kronecker", "--nmax", "3000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n=1 lhs=2 rhs=2 match=True\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

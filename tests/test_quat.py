@@ -16,7 +16,7 @@ from humbert.quat import (
     build_order,
     cm_singular_gram,
     coordinates_in_basis,
-    det3,
+    det,
     order_form,
     order_parameters,
     period_matrix,
@@ -164,8 +164,8 @@ def test_bordered_gram_determinant_identity():
             for u in range(-3, 4):
                 for v in range(-3, 4):
                     m = bordered_gram(ob, n, u, v)
-                    assert det3(m) == 4 * ob.dn * n - q(v, -u)
-        assert det3(bordered_gram(ob, 1, 0, 0)) == 4 * ob.dn
+                    assert det(m) == 4 * ob.dn * n - q(v, -u)
+        assert det(bordered_gram(ob, 1, 0, 0)) == 4 * ob.dn
     with pytest.raises(ValueError):
         bordered_gram(ORDERS[0], 0, 0, 0)
 
