@@ -6,11 +6,25 @@ Everything here works on plain Python ints (arbitrary precision) and
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
 
 # Factoring is deterministic trial division; anything past this bound is
 # rejected loudly instead of silently taking forever.
 FACTOR_BOUND = 10**12
+
+# Largest |d| whose class number is counted form by form (bqf.class_number):
+# the count takes about 1 s at |d| = 10**8 and 3.3 s at 4*10**8 (Python 3.11,
+# one core of a 2-vCPU Xeon VM), so about 10 s at this bound.
+CLASS_NUMBER_BOUND = 10**9
+
+# Largest X for the per-run tables of verify (X = D0*nmax) and kronecker
+# (X = 4*nmax).  On the same machine the class-number table takes 0.56 s at
+# X = 10**5, 1.7 s at 2*10**5 and 7.9 s at 5*10**5 (it grows as X**1.5), and
+# each level table costs 8*X bytes.  Near the bound, verify 1155 --nmax 432
+# (7 levels) took 13.5 s and 59 MiB, verify 30030 --nmax 16 (31 levels)
+# 9.2 s and 146 MiB.
+TABLE_BOUND = 5 * 10**5
 
 # Witnesses making Miller-Rabin deterministic below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,6 +88,17 @@ def factor(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:
         pairs.append((m, 1))
     assert reduce(lambda acc, pe: acc * pe[0] ** pe[1], pairs, 1) == n
     return pairs
+
+
+def smallest_prime_factors(x: int) -> array:
+    """spf[n] = the smallest prime factor of n for 2 <= n <= x (spf[0] = spf[1] = 0)."""
+    spf = array("q", bytes(8 * (x + 1)))
+    for p in range(2, x + 1):
+        if spf[p] == 0:
+            for k in range(p, x + 1, p):
+                if spf[k] == 0:
+                    spf[k] = p
+    return spf
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_discriminant
+from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant
 
 
 @dataclass(frozen=True, order=True)
@@ -99,7 +100,13 @@ _CLASS_NUMBER_CACHE: dict[int, int] = {}
 
 
 def class_number(d: int) -> int:
-    """h(d): number of primitive reduced forms of discriminant d < 0."""
+    """h(d): number of primitive reduced forms of discriminant d < 0.
+
+    Rejects |d| > arith.CLASS_NUMBER_BOUND, where the count would take more
+    than about 10 s.
+    """
+    if -d > CLASS_NUMBER_BOUND:
+        raise ValueError(f"input too large: class numbers are counted up to |d| = {CLASS_NUMBER_BOUND}")
     h = _CLASS_NUMBER_CACHE.get(d)
     if h is None:
         h = len(reduced_forms(d, primitive_only=True))
@@ -107,18 +114,38 @@ def class_number(d: int) -> int:
     return h
 
 
-def cache_snapshot() -> dict[int, int]:
-    """Copy of the current class-number memo (for persistence)."""
-    return dict(_CLASS_NUMBER_CACHE)
-
-
-def cache_update(entries: dict[int, int]) -> None:
-    """Preload memoized class numbers (values are trusted as-is)."""
-    _CLASS_NUMBER_CACHE.update(entries)
-
-
 def cache_clear() -> None:
     _CLASS_NUMBER_CACHE.clear()
+
+
+def class_number_table(x: int) -> array:
+    """h(-k) for 0 <= k <= x as an array indexed by k (0 where -k is not a
+    discriminant, and at k = 0).
+
+    One pass over the reduced primitive forms (a, b, c) with 4ac - b**2 <= x
+    (Cohen, GTM 138, 5.3, run for all discriminants at once): for fixed
+    (a, b) the discriminants step by 4a as c grows.  Rejects
+    x > arith.TABLE_BOUND.
+    """
+    if x < 0:
+        raise ValueError("table size must be >= 0")
+    if x > TABLE_BOUND:
+        raise ValueError(f"input too large: tables are built up to {TABLE_BOUND} entries")
+    counts = [0] * (x + 1)
+    for a in range(1, math.isqrt(x // 3) + 1):
+        step = 4 * a
+        for b in range(-a + 1, a + 1):
+            # (a, b, a) is reduced only for b >= 0
+            c0 = a if b >= 0 else a + 1
+            g = math.gcd(a, b)
+            if g == 1:
+                for k in range(step * c0 - b * b, x + 1, step):
+                    counts[k] += 1
+            else:
+                for c, k in enumerate(range(step * c0 - b * b, x + 1, step), c0):
+                    if math.gcd(g, c) == 1:
+                        counts[k] += 1
+    return array("q", counts)
 
 
 def unit_weight_denominator(d: int) -> int:
@@ -139,7 +166,8 @@ def hurwitz(n: int) -> Fraction:
     H(0) = -1/12; for n > 0 with -n a discriminant, H(n) counts classes of
     positive definite forms of discriminant -n weighted by automorphisms,
     computed as sum over square divisors r**2 | n of h(-n/r**2) / e(-n/r**2);
-    H(n) = 0 when -n is 2 or 3 mod 4.
+    H(n) = 0 when -n is 2 or 3 mod 4.  Arguments past
+    arith.CLASS_NUMBER_BOUND are rejected by ``class_number``.
     """
     if n < 0:
         raise ValueError("undefined for negative argument")
@@ -161,6 +189,22 @@ def hurwitz(n: int) -> Fraction:
             r += 1
     _HURWITZ_CACHE[n] = value
     return value
+
+
+def hurwitz_table(class_numbers: array) -> array:
+    """12*H(n) for 0 <= n <= x as an array indexed by n, from
+    ``class_number_table(x)``: entry 0 is -1, and each discriminant -k adds
+    h(-k) weighted 4, 6 or 12 (for -3, -4 and the rest) at every k*r**2."""
+    x = len(class_numbers) - 1
+    table = array("q", bytes(8 * (x + 1)))
+    table[0] = -1
+    for k in range(3, x + 1):
+        h = class_numbers[k]
+        if h:
+            value = h * (4 if k == 3 else 6 if k == 4 else 12)
+            for r in range(1, math.isqrt(x // k) + 1):
+                table[k * r * r] += value
+    return table
 
 
 def represents_only_0_1_mod4(q: BQF) -> bool:

@@ -2,7 +2,8 @@
 
 Commands: cohen, hurwitz, classnum, forms, hdn, verify, kronecker, selfcheck.
 Exit codes: 0 success / everything verified, 1 mathematical mismatch,
-2 usage or configuration error, 141 stdout closed early (broken pipe).
+2 usage or configuration error (including an input past a size bound),
+3 an internal cross-check failed, 141 stdout closed early (broken pipe).
 Rational values are printed as "p/q" strings, never as decimals, in every
 output format.
 """
@@ -18,6 +19,7 @@ import random
 import signal
 import sys
 import tempfile
+from array import array
 from fractions import Fraction
 
 from . import __version__, bqf, genus, quat, relations
@@ -41,8 +43,11 @@ def fmt_rat(x: Fraction | int) -> str:
 # class-number cache file
 
 
-def load_cache(path: str) -> None:
-    """Load a class-number cache file; a corrupt file is ignored entirely."""
+def load_cache(path: str, class_numbers: array) -> None:
+    """Check a class-number cache file against the run's table of h(-k)
+    (``bqf.class_number_table``); entries that disagree are reported and
+    dropped, and no entry is ever used for a result.  A corrupt file is
+    ignored entirely."""
     if not os.path.exists(path):
         return
     entries: dict[int, int] = {}
@@ -63,19 +68,22 @@ def load_cache(path: str) -> None:
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
         return
-    bqf.cache_update(entries)
+    for d, h in sorted(entries.items(), reverse=True):
+        if -d < len(class_numbers) and class_numbers[-d] != h:
+            print(f"warning: dropping cache entry h({d}) = {h}: the class number is "
+                  f"{class_numbers[-d]}", file=sys.stderr)
 
 
-def save_cache(path: str) -> None:
-    """Atomically write the current class-number memo (write-temp-then-rename)."""
-    entries = bqf.cache_snapshot()
+def save_cache(path: str, class_numbers: array) -> None:
+    """Atomically write the run's class numbers h(-k) (write-temp-then-rename)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(f"{CACHE_HEADER} {CACHE_VERSION}\n")
-            for d in sorted(entries):
-                fh.write(f"{d} {entries[d]}\n")
+            for k in range(len(class_numbers) - 1, 0, -1):
+                if class_numbers[k]:
+                    fh.write(f"{-k} {class_numbers[k]}\n")
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
@@ -173,9 +181,6 @@ def _print_counterexample(row: relations.VerificationRow) -> None:
 
 
 def cmd_verify(args) -> int:
-    cache = _cache_path(args)
-    if cache:
-        load_cache(cache)
     only_form = None
     if args.form:
         try:
@@ -200,8 +205,10 @@ def cmd_verify(args) -> int:
          text, all_match,
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
                       for s in skipped]})
+    cache = _cache_path(args)
     if cache:
-        save_cache(cache)
+        load_cache(cache, report.class_numbers)
+        save_cache(cache, report.class_numbers)
     if not all_match:
         _print_counterexample(next(r for r in rows if not r.match))
         return 1
@@ -349,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # The reader closed the pipe (`humbert ... | head`): point stdout at
         # /dev/null so the flush at exit stays quiet, and report SIGPIPE.

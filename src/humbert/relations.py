@@ -9,19 +9,34 @@ Two identities are verified, both as equalities of reduced rationals:
   -16*D0 with quaternion discriminant D > 1: the lattice sum of the weighted
   class-number function over u = a*n, v = c*n mod 2 equals a_n times the
   volume term, with a_n the Cohen-series coefficients.
+
+``verify_relation`` and ``verify_kronecker`` read class numbers from tables
+built once per call (``bqf.class_number_table``, ``shimura.level_tables``),
+and ``verify_relation`` enumerates each form's lattice once for all n.
+``lattice_sum`` and ``verification_row`` evaluate one row point by point;
+they are the oracle the tables are checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import sigma
-from .bqf import BQF, gl2_canonical, hurwitz
+from .arith import TABLE_BOUND, sigma
+from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
-from .shimura import ShimuraLevel, volume_term, weighted_class_number
+from .shimura import (
+    ShimuraLevel,
+    level_tables,
+    table_denominator,
+    volume_term,
+    weighted_class_number,
+)
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,9 @@ class VerificationReport:
     nmax: int
     rows: list[VerificationRow]
     skipped: list[SkippedForm]
+    # h(-k) for k <= D0*nmax, the table the rows were computed from (only
+    # k = 0 when every form is skipped)
+    class_numbers: array = field(repr=False)
 
     @property
     def all_match(self) -> bool:
@@ -237,37 +255,118 @@ def admissible_n(nmax: int) -> list[int]:
     return [n for n in range(1, nmax + 1) if n % 4 in (0, 1)]
 
 
+def _form_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,
+                 step: int) -> list[int]:
+    # The values a*v*v + b*v*u + c*u*u <= bound of a positive definite form
+    # over the pairs with u = u_par and v = v_par mod step.
+    values = []
+    umax = math.isqrt(4 * a * bound // (4 * a * c - b * b))
+    for u in range(-umax + (u_par + umax) % step, umax + 1, step):
+        # v-window of a*v^2 + b*u*v + (c*u^2 - bound) <= 0, widened by one
+        # for the integer square root; the test on the value settles it
+        root = math.isqrt((b * b - 4 * a * c) * u * u + 4 * a * bound)
+        vmin = (-b * u - root) // (2 * a) - 1
+        for v in range(vmin + (v_par - vmin) % step, (-b * u + root) // (2 * a) + 2, step):
+            value = a * v * v + b * v * u + c * u * u
+            if value <= bound:
+                values.append(value)
+    return values
+
+
+def _theta_class(form: EligibleForm, nmax: int, u_par: int,
+                 v_par: int) -> tuple[list[int], list[int], list[int]]:
+    # One parity class of the form's lattice, enumerated up to 4*D0*nmax:
+    # every Q(v, u) sorted, the j with some Q(v, u) = 4j in increasing
+    # order, and the number of points with Q(v, u) = 4j for each of them.
+    q = form.form
+    values = sorted(_form_values(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2))
+    multiplicity = sorted(Counter(value // 4 for value in values if value % 4 == 0).items())
+    if form.kind == "four_times_primitive":
+        # Q = 4Q' forces u and v even, so #{Q(v, u) = 4j} = #{Q'(x, y) = j/4},
+        # counted here by a separate enumeration of all pairs against Q'.
+        qq = form.character_form
+        quarter = Counter(_form_values(qq.a, qq.b, qq.c, form.d0 * nmax // 4, 0, 0, 1))
+        if multiplicity != sorted((4 * w, count) for w, count in quarter.items()):
+            raise RuntimeError(f"quarter-form multiplicities disagree for {form}")
+    return values, [j for j, _ in multiplicity], [count for _, count in multiplicity]
+
+
+def _oracle_check(forms: list[EligibleForm], row: VerificationRow) -> None:
+    # A mismatch is reported only once the point-by-point lattice sum
+    # confirms the table row's left-hand side.
+    form = next(f for f in forms if f.form == row.form)
+    oracle = lattice_sum(form, row.n).value
+    if oracle != row.lhs:
+        raise RuntimeError(
+            f"table row disagrees with the lattice sum at D0={row.d0} form={row.form} "
+            f"n={row.n}: {row.lhs} != {oracle}"
+        )
+
+
 def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> VerificationReport:
     """Verify the relation for every eligible form of the given D0 with D > 1
     and every n <= nmax congruent to 0 or 1 mod 4, or only for the
-    GL(2,Z)-class of ``only_form``; exact comparisons, rows by form then n."""
+    GL(2,Z)-class of ``only_form``; exact comparisons, rows by form then n.
+
+    Row n of a form is the coefficient sum over j of T[j]*H_{D,N}(D0*n - j),
+    with T[j] the number of lattice points of the row's parity class with
+    Q(v, u) = 4j; T depends on n only through that class, so each form's
+    lattice is enumerated at most twice.  Rejects D0*nmax > arith.TABLE_BOUND
+    before any work.
+    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    if d0 * nmax > TABLE_BOUND:
+        raise ValueError(f"input too large: D0*nmax = {d0 * nmax} exceeds the table bound {TABLE_BOUND}")
     forms = eligible_forms(d0)
     if only_form is not None:
         canon = gl2_canonical(only_form)
         forms = [f for f in forms if f.form == canon]
+    levels = list(dict.fromkeys(ShimuraLevel(f.D, f.N) for f in forms if f.D > 1))
+    class_numbers = class_number_table(d0 * nmax if levels else 0)
+    tables = level_tables(levels, class_numbers) if levels else {}
+    denominator = table_denominator(d0)
     rows: list[VerificationRow] = []
     skipped: list[SkippedForm] = []
     for form in forms:
         if form.D == 1:
             skipped.append(skip_record(form))
             continue
+        table = tables[ShimuraLevel(form.D, form.N)]
+        classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
         for n in admissible_n(nmax):
-            rows.append(verification_row(form, n))
-    return VerificationReport(d0=d0, nmax=nmax, rows=rows, skipped=skipped)
+            parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
+            if parity not in classes:
+                classes[parity] = _theta_class(form, nmax, *parity)
+            values, shifts, counts = classes[parity]
+            x = d0 * n
+            # table[0] is L times the volume term: the boundary points
+            numerator = sum(counts[i] * table[x - shifts[i]]
+                            for i in range(bisect_right(shifts, x)))
+            lhs = Fraction(numerator, denominator)
+            rhs = relation_rhs(form, n)
+            rows.append(VerificationRow(
+                d0=d0, form=form.form, D=form.D, N=form.N, n=n,
+                lhs=lhs, rhs=rhs, a_n=cohen_coefficient(n), match=lhs == rhs,
+                term_count=bisect_right(values, 4 * x),
+            ))
+    mismatch = next((row for row in rows if not row.match), None)
+    if mismatch is not None:
+        _oracle_check(forms, mismatch)
+    return VerificationReport(d0=d0, nmax=nmax, rows=rows, skipped=skipped,
+                              class_numbers=class_numbers)
 
 
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:
-    """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly."""
+    """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly,
+    from one table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``)."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    hurwitz12 = hurwitz_table(class_number_table(4 * nmax))
     rows = []
     for n in range(1, nmax + 1):
-        lhs = Fraction(0)
         xmax = math.isqrt(4 * n)
-        for x in range(-xmax, xmax + 1):
-            lhs += hurwitz(4 * n - x * x)
+        lhs = Fraction(sum(hurwitz12[4 * n - x * x] for x in range(-xmax, xmax + 1)), 12)
         for d in range(1, math.isqrt(n) + 1):
             if n % d == 0:
                 dd = n // d

@@ -6,10 +6,13 @@ number h(d) by local optimal-embedding counts at the primes dividing D*N.
 The weighted sum over orders between d and its fundamental part, normalized
 by a 2-power and the unit weights, is the class-number function evaluated by
 ``weighted_class_number``; its value at 0 is minus half the curve volume.
+``level_tables`` tabulates the same function for all levels of one D*N.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from .arith import (
     is_squarefree,
     kronecker,
     prime_divisors,
+    smallest_prime_factors,
 )
 
 
@@ -129,3 +133,92 @@ def weighted_class_number(level: ShimuraLevel, m: int | Fraction) -> Fraction:
     if m.denominator != 1:
         return Fraction(0)
     return _weighted_class_number_int(level, int(m))
+
+
+def _embedding_counts(key: tuple[int, ...], in_d: list[list[bool]]) -> list[int]:
+    # Per level, the product over q | D*N of the local embedding counts of
+    # local_embedding_count; key holds (d0|q), or 2 where q divides the
+    # conductor of the order.
+    counts = []
+    for flags in in_d:
+        count = 1
+        for chi, is_d in zip(key, flags):
+            if chi == 2:
+                count *= 0 if is_d else 2
+            else:
+                count *= 1 - chi if is_d else 1 + chi
+        counts.append(count)
+    return counts
+
+
+def table_denominator(product: int) -> int:
+    """L = 6 * 2**omega(D*N): L times the class-number function of any level
+    with this D*N is an integer (unit weights 1/2 and 1/3, and the 2-power)."""
+    return 6 << len(prime_divisors(product))
+
+
+def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[ShimuraLevel, array]:
+    """For levels sharing one D*N > 1, the integers L*H_{D,N}(m) for
+    0 <= m <= x, with L = table_denominator(D*N) and class_numbers =
+    bqf.class_number_table(x).
+
+    One pass over m fills every level: the fundamental decomposition of -m
+    (from a smallest-prime-factor sieve), the symbols (d0|q) at the primes
+    q | D*N, the 2-power and the h lookups of the orders between -m and d0
+    are shared, and only the product of local embedding counts is per level.
+    """
+    products = {level.product for level in levels}
+    if len(products) != 1 or products == {1}:
+        raise ValueError("level tables need levels with one common D*N > 1")
+    (product,) = products
+    x = len(class_numbers) - 1
+    primes = prime_divisors(product)
+    denominator = table_denominator(product)
+    # (d|q) depends on d mod q for odd q and on d mod 8 for q = 2
+    moduli = [8 if q == 2 else q for q in primes]
+    symbols = [[kronecker(r, q) for r in range(mod)] for q, mod in zip(primes, moduli)]
+    in_d = [[level.D % q == 0 for q in primes] for level in levels]
+    tables = [array("q", bytes(8 * (x + 1))) for _ in levels]
+    for table, level in zip(tables, levels):
+        table[0] = int(denominator * volume_term(level))
+    spf = smallest_prime_factors(x)
+    fmax = math.isqrt(x)
+    embedding_counts: dict[tuple[int, ...], list[int]] = {}
+    conductor_divisors: list[list[int]] = [[] for _ in range(fmax + 1)]
+    for r in range(1, fmax + 1):
+        for f in range(r, fmax + 1, r):
+            conductor_divisors[f].append(r)
+    for m in range(3, x + 1):
+        if m % 4 in (1, 2):
+            continue
+        # m = root**2 * core with core squarefree
+        rest, core, root = m, 1, 1
+        while rest > 1:
+            p = spf[rest]
+            rest //= p
+            if rest % p == 0:
+                rest //= p
+                root *= p
+            else:
+                core *= p
+        # -m = f**2 * d0 with d0 = -base fundamental
+        base, f = (core, root) if core % 4 == 3 else (4 * core, root // 2)
+        chis = tuple(sym[-base % mod] for sym, mod in zip(symbols, moduli))
+        totals = [0] * len(levels)
+        for r in conductor_divisors[f]:
+            k = r * r * base
+            # 6 over the unit weight 3, 2 or 1 of the order of discriminant -k
+            weight = class_numbers[k] * (2 if k == 3 else 3 if k == 4 else 6)
+            # 2 marks a prime dividing the conductor r of the order
+            key = chis if r == 1 else tuple(2 if r % q == 0 else chi
+                                            for q, chi in zip(primes, chis))
+            counts = embedding_counts.get(key)
+            if counts is None:
+                counts = embedding_counts[key] = _embedding_counts(key, in_d)
+            for i, count in enumerate(counts):
+                totals[i] += weight * count
+        # the function divides by 2 for each q | D*N not dividing m
+        shift = sum(1 for q in primes if m % q == 0)
+        for table, total in zip(tables, totals):
+            table[m] = total << shift
+    return dict(zip(levels, tables))

@@ -122,6 +122,40 @@ def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
     assert re.search(r"u=-?1 v=-?2 m=3 H=1/3", out)
 
 
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    real = relations.level_tables
+
+    def tampered(levels, class_numbers):
+        tables = real(levels, class_numbers)
+        for table in tables.values():
+            for m in range(1, len(table)):
+                table[m] += 1
+        return tables
+
+    monkeypatch.setattr(relations, "level_tables", tampered)
+    code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    assert (code, out) == (3, "")
+    assert "error: internal check failed: table row disagrees with the lattice sum" in err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the computation started")
+
+
+def test_size_guards_exit_2_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(bqf, "reduced_forms", _never)
+    monkeypatch.setattr(relations, "eligible_forms", _never)
+    monkeypatch.setattr(relations, "hurwitz_table", _never)
+    for argv in (["classnum", "-10000000000000"],
+                 ["hurwitz", "10000000000003"],
+                 ["verify", "--d0", "10000000000001", "--nmax", "1"],
+                 ["verify", "--d0", "1155", "--nmax", "1000"],
+                 ["kronecker", "--nmax", "200000"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "input too large" in err, argv
+
+
 def test_verify_rationals_never_decimal(capsys):
     _, out, _ = run(capsys, "verify", "--d0", "30", "--nmax", "9", "--format", "csv")
     assert not re.search(r"\d+\.\d", out)
@@ -177,14 +211,15 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert cache.exists()
 
 
-def test_cache_values_are_loaded(tmp_path, capsys):
-    bqf.cache_clear()
-    cache = tmp_path / "seeded.txt"
-    cache.write_text("humbert-classnum-cache 1\n-9999999 77\n")
-    code, _, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4", "--cache", str(cache))
-    assert code == 0
-    assert bqf.cache_snapshot()[-9999999] == 77
-    bqf.cache_clear()
+def test_tampered_cache_cannot_change_result(tmp_path, capsys):
+    cache = tmp_path / "tampered.txt"
+    cache.write_text("humbert-classnum-cache 1\n-40 9\n")   # h(-40) is 2
+    tampered = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    clean = run(capsys, "verify", "--d0", "10", "--nmax", "8")
+    assert tampered[:2] == clean[:2]
+    assert clean[0] == 0
+    assert "dropping cache entry h(-40) = 9" in tampered[2]
+    assert "\n-40 2\n" in cache.read_text()
 
 
 def test_selfcheck_single_d0(capsys):
