@@ -26,6 +26,12 @@ CLASS_NUMBER_BOUND = 10**9
 # 9.2 s and 146 MiB.
 TABLE_BOUND = 5 * 10**5
 
+
+class InternalCheckError(RuntimeError):
+    """An internal cross-check failed: two independent evaluations of the
+    same quantity disagree, or a construction broke an invariant it proves."""
+
+
 # Witnesses making Miller-Rabin deterministic below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 2**64

@@ -22,7 +22,7 @@ import tempfile
 from array import array
 from fractions import Fraction
 
-from . import __version__, bqf, genus, quat, relations
+from . import __version__, arith, bqf, genus, quat, relations
 from .qseries import cohen_coefficients
 from .shimura import ShimuraLevel, weighted_class_number
 
@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except arith.InternalCheckError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -20,7 +20,7 @@ from typing import Literal
 import mpmath as mp
 
 from . import bqf
-from .arith import is_prime
+from .arith import InternalCheckError, is_prime
 from .bqf import BQF
 from .genus import EligibleForm
 
@@ -216,7 +216,7 @@ def order_parameters(form: EligibleForm) -> OrderParameters:
         for s in range(1, 4 * p, 2):
             if (s * s * dn + 1) % (4 * p) == 0:
                 return OrderParameters("four_times_primitive", p, s, (s * s * dn + 1) // (4 * p))
-    raise RuntimeError("inconsistent parameters: no admissible s below 4p")
+    raise InternalCheckError("inconsistent parameters: no admissible s below 4p")
 
 
 def _basis_matrix_inverse(e: tuple[Quaternion, ...]) -> list[list[Fraction]]:
@@ -227,7 +227,7 @@ def _basis_matrix_inverse(e: tuple[Quaternion, ...]) -> list[list[Fraction]]:
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise RuntimeError("order construction inconsistent: singular basis")
+            raise InternalCheckError("order construction inconsistent: singular basis")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = 1 / aug[col][col]
         aug[col] = [v * inv_p for v in aug[col]]
@@ -277,7 +277,7 @@ def build_order(form: EligibleForm) -> OrderBasis:
             for j in range(4):
                 coord = sum(vec[k] * minv[k][j] for k in range(4))
                 if coord.denominator != 1:
-                    raise RuntimeError("order construction inconsistent: not closed under multiplication")
+                    raise InternalCheckError("order construction inconsistent: not closed under multiplication")
     return ob
 
 

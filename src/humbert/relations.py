@@ -14,7 +14,8 @@ Two identities are verified, both as equalities of reduced rationals:
 built once per call (``bqf.class_number_table``, ``shimura.level_tables``),
 and ``verify_relation`` enumerates each form's lattice once for all n.
 ``lattice_sum`` and ``verification_row`` evaluate one row point by point;
-they are the oracle the tables are checked against.
+they are the oracle the tables are checked against.  A failed cross-check
+raises ``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import TABLE_BOUND, sigma
+from .arith import TABLE_BOUND, InternalCheckError, sigma
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
@@ -201,7 +202,7 @@ def _checked_lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
     if form.kind == "four_times_primitive":
         rewritten = _rewritten_quarter_sum(form, n)
         if rewritten != result.value:
-            raise RuntimeError(
+            raise InternalCheckError(
                 f"rewritten quarter-form sum disagrees: {rewritten} != {result.value}"
             )
     return result
@@ -287,19 +288,20 @@ def _theta_class(form: EligibleForm, nmax: int, u_par: int,
         qq = form.character_form
         quarter = Counter(_form_values(qq.a, qq.b, qq.c, form.d0 * nmax // 4, 0, 0, 1))
         if multiplicity != sorted((4 * w, count) for w, count in quarter.items()):
-            raise RuntimeError(f"quarter-form multiplicities disagree for {form}")
+            raise InternalCheckError(f"quarter-form multiplicities disagree for {form}")
     return values, [j for j, _ in multiplicity], [count for _, count in multiplicity]
 
 
 def _oracle_check(forms: list[EligibleForm], row: VerificationRow) -> None:
-    # A mismatch is reported only once the point-by-point lattice sum
-    # confirms the table row's left-hand side.
+    # A mismatch is reported only once the point-by-point row confirms the
+    # table row's left-hand side and term count.
     form = next(f for f in forms if f.form == row.form)
-    oracle = lattice_sum(form, row.n).value
-    if oracle != row.lhs:
-        raise RuntimeError(
+    oracle = verification_row(form, row.n)
+    if (oracle.lhs, oracle.term_count) != (row.lhs, row.term_count):
+        raise InternalCheckError(
             f"table row disagrees with the lattice sum at D0={row.d0} form={row.form} "
-            f"n={row.n}: {row.lhs} != {oracle}"
+            f"n={row.n}: {row.lhs} over {row.term_count} terms, oracle {oracle.lhs} over "
+            f"{oracle.term_count} terms"
         )
 
 

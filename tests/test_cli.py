@@ -138,6 +138,23 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert "error: internal check failed: table row disagrees with the lattice sum" in err
 
 
+def test_only_internal_check_errors_exit_3(capsys, monkeypatch):
+    def crash(nmax):
+        raise RuntimeError("not a cross-check")
+
+    monkeypatch.setattr(relations, "verify_kronecker", crash)
+    with pytest.raises(RuntimeError, match="not a cross-check"):
+        main(["kronecker", "--nmax", "4"])
+
+    def broken(nmax):
+        raise relations.InternalCheckError("two evaluations disagree")
+
+    monkeypatch.setattr(relations, "verify_kronecker", broken)
+    code, out, err = run(capsys, "kronecker", "--nmax", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: internal check failed: two evaluations disagree\n"
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the computation started")
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from humbert.arith import TABLE_BOUND, prime_divisors
 from humbert.bqf import class_number, class_number_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
-from humbert.relations import lattice_sum, verify_relation
+from humbert.relations import verification_row, verify_relation
 from humbert.shimura import ShimuraLevel, level_tables, table_denominator, weighted_class_number
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
@@ -77,8 +77,9 @@ def test_table_rows_match_lattice_sum(d0, n):
     rows = [row for row in report(d0, 26).rows if row.n == n]
     assert rows
     for row in rows:
-        oracle = lattice_sum(forms[row.form], n)
-        assert (row.lhs, row.term_count) == (oracle.value, oracle.points_visited)
+        # the per-row path, with the quarter-form sum for four-times-primitive forms
+        oracle = verification_row(forms[row.form], n)
+        assert (row.lhs, row.rhs, row.term_count) == (oracle.lhs, oracle.rhs, oracle.term_count)
 
 
 def test_four_times_primitive_rows_are_covered():
