@@ -26,6 +26,13 @@ CLASS_NUMBER_BOUND = 10**9
 # 9.2 s and 146 MiB.
 TABLE_BOUND = 5 * 10**5
 
+# Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On
+# the same machine the divisor sieve and theta convolution take 0.014 s at
+# nmax = 3000, 1.2 s and 36 MiB at 10**5, and 3.7 s and 51 MiB at this bound
+# (they grow as nmax**1.5).  verify needs nmax <= TABLE_BOUND // 6 = 83333
+# for every D0 with a level (D0 >= 6), which is below this bound.
+COHEN_BOUND = 2 * 10**5
+
 
 class InternalCheckError(RuntimeError):
     """An internal cross-check failed: two independent evaluations of the

@@ -5,12 +5,23 @@ A series is stored densely: ``coeffs[k]`` is the coefficient of
 denominator dividing 24, so eta quotients like eta(4z)**8 / eta(2z)**4 are
 first-class values; all public entry points that hand coefficients to the
 outside world insist on an integer lead.
+
+The Cohen coefficients a_n are not built from these series:
+``cohen_coefficients`` takes them from a divisor sieve and a theta
+convolution, and the q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4
+is kept in the tests as its oracle.  nmax past ``arith.COHEN_BOUND`` is
+rejected with ValueError before any work (exit 2 from the CLI).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+
+from .arith import COHEN_BOUND
 
 
 @dataclass(frozen=True)
@@ -180,27 +191,32 @@ def eta_power(scale_factor: int, exponent: int, prec: int) -> QSeries:
     return QSeries(Fraction(scale_factor * exponent, 24) + raised.lead, raised.coeffs)
 
 
-def cohen_series(prec: int) -> QSeries:
-    """Weight-5/2 Eisenstein-type combination theta**5 - 20*theta*eta(4z)**8/eta(2z)**4.
-
-    Dividing by 120 gives Cohen's weight-5/2 Eisenstein series; the raw
-    integer coefficients are the multipliers appearing in the class-number
-    relations.
-    """
-    th = theta(prec)
-    quotient = mul(eta_power(4, 8, prec), eta_power(2, -4, prec))
-    if quotient.lead != 1:
-        raise AssertionError("eta quotient must have integer lead 1")
-    series = sub(power(th, 5), scale(mul(th, quotient), 20))
-    if series.lead.denominator != 1:
-        raise AssertionError("public series must have an integer leading exponent")
-    return series
-
-
 def cohen_coefficients(nmax: int) -> list[int]:
-    """Coefficients a_0 .. a_nmax of the series built by ``cohen_series``."""
+    """Coefficients a_0 .. a_nmax of theta**5 - 20*theta*eta(4z)**8/eta(2z)**4.
+
+    Dividing by 120 gives Cohen's weight-5/2 Eisenstein series; the integer
+    coefficients are the multipliers in the class-number relations.  With
+    Jacobi's r_4(m) = 8 * sum of the d | m with 4 not dividing d, and
+    eta(4z)**8/eta(2z)**4 = sum over odd m of sigma(m) q**m, the series is
+    theta * g for g(m) = r_4(m) - 20*sigma(m)*[m odd], g(0) = 1: one divisor
+    sieve for g, then a_n = g(n) + 2 * sum over x >= 1 of g(n - x**2).
+    Rejects nmax > arith.COHEN_BOUND before any work.
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    series = cohen_series(nmax + 1)
-    assert series.lead == 0
-    return list(series.coeffs[: nmax + 1])
+    if nmax > COHEN_BOUND:
+        raise ValueError(f"input too large: nmax = {nmax} exceeds the Cohen bound {COHEN_BOUND}")
+    # Every progression and every shift is a slice assignment, so the inner
+    # loops run in C.
+    g = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        if d % 4:
+            g[d::d] = map(operator.add, g[d::d], repeat(8 * d))
+        if d % 2:
+            g[d::2 * d] = map(operator.sub, g[d::2 * d], repeat(20 * d))
+    g[0] = 1
+    coeffs = g[:]
+    twice = [2 * v for v in g]
+    for x in range(1, math.isqrt(nmax) + 1):
+        coeffs[x * x:] = map(operator.add, coeffs[x * x:], twice)
+    return coeffs

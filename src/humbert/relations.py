@@ -12,10 +12,11 @@ Two identities are verified, both as equalities of reduced rationals:
 
 ``verify_relation`` and ``verify_kronecker`` read class numbers from tables
 built once per call (``bqf.class_number_table``, ``shimura.level_tables``),
-and ``verify_relation`` enumerates each form's lattice once for all n.
-``lattice_sum`` and ``verification_row`` evaluate one row point by point;
-they are the oracle the tables are checked against.  A failed cross-check
-raises ``InternalCheckError``.
+and ``verify_relation`` enumerates each form's lattice once for all n and
+reads a_n from one ``cohen_coefficients`` list.  ``lattice_sum`` and
+``verification_row`` evaluate one row point by point; they are the oracle
+the tables are checked against.  A failed cross-check raises
+``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -214,21 +215,10 @@ def relation_lhs(form: EligibleForm, n: int) -> Fraction:
     return _checked_lattice_sum(form, n).value
 
 
-_COHEN_CACHE: list[int] = []
-
-
-def cohen_coefficient(n: int) -> int:
-    """Coefficient a_n of the Cohen series, with a growing module-level cache."""
-    global _COHEN_CACHE
-    if n >= len(_COHEN_CACHE):
-        _COHEN_CACHE = cohen_coefficients(max(n, 2 * len(_COHEN_CACHE), 16))
-    return _COHEN_CACHE[n]
-
-
 def relation_rhs(form: EligibleForm, n: int) -> Fraction:
     """Right-hand side: a_n times the volume term of the level."""
     _validate(form, n)
-    return cohen_coefficient(n) * volume_term(ShimuraLevel(form.D, form.N))
+    return cohen_coefficients(n)[n] * volume_term(ShimuraLevel(form.D, form.N))
 
 
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
@@ -236,7 +226,7 @@ def verification_row(form: EligibleForm, n: int) -> VerificationRow:
     cross-check applied where it exists."""
     stats = _checked_lattice_sum(form, n)
     lhs = stats.value
-    a_n = cohen_coefficient(n)
+    a_n = cohen_coefficients(n)[n]
     rhs = relation_rhs(form, n)
     return VerificationRow(
         d0=form.d0, form=form.form, D=form.D, N=form.N, n=n,
@@ -327,6 +317,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     levels = list(dict.fromkeys(ShimuraLevel(f.D, f.N) for f in forms if f.D > 1))
     class_numbers = class_number_table(d0 * nmax if levels else 0)
     tables = level_tables(levels, class_numbers) if levels else {}
+    cohen = cohen_coefficients(nmax) if levels else []
     denominator = table_denominator(d0)
     rows: list[VerificationRow] = []
     skipped: list[SkippedForm] = []
@@ -342,14 +333,15 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 classes[parity] = _theta_class(form, nmax, *parity)
             values, shifts, counts = classes[parity]
             x = d0 * n
-            # table[0] is L times the volume term: the boundary points
+            # table[0] is L times the volume term: the boundary points, and
+            # the right-hand side a_n * table[0] / L
             numerator = sum(counts[i] * table[x - shifts[i]]
                             for i in range(bisect_right(shifts, x)))
             lhs = Fraction(numerator, denominator)
-            rhs = relation_rhs(form, n)
+            rhs = Fraction(cohen[n] * table[0], denominator)
             rows.append(VerificationRow(
                 d0=d0, form=form.form, D=form.D, N=form.N, n=n,
-                lhs=lhs, rhs=rhs, a_n=cohen_coefficient(n), match=lhs == rhs,
+                lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
                 term_count=bisect_right(values, 4 * x),
             ))
     mismatch = next((row for row in rows if not row.match), None)

@@ -110,12 +110,14 @@ def test_verify_form_filter(capsys):
 
 
 def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
-    real = relations.relation_rhs
+    real = relations.cohen_coefficients
 
-    def broken(form, n):
-        return real(form, n) + 1
+    def broken(nmax):
+        coeffs = real(nmax)
+        coeffs[1] += 1
+        return coeffs
 
-    monkeypatch.setattr(relations, "relation_rhs", broken)
+    monkeypatch.setattr(relations, "cohen_coefficients", broken)
     code, out, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
     assert code == 1
     assert "counterexample" in out
@@ -167,7 +169,8 @@ def test_size_guards_exit_2_before_computing(capsys, monkeypatch):
                  ["hurwitz", "10000000000003"],
                  ["verify", "--d0", "10000000000001", "--nmax", "1"],
                  ["verify", "--d0", "1155", "--nmax", "1000"],
-                 ["kronecker", "--nmax", "200000"]):
+                 ["kronecker", "--nmax", "200000"],
+                 ["cohen", "--nmax", "1000000000000"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "input too large" in err, argv

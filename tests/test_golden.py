@@ -2,20 +2,26 @@
 
 Every case runs ``humbert.cli.main`` in-process and compares its stdout byte
 for byte with ``tests/golden/<name>.out``; the exit status is part of the
-case.  Refactors of the CLI or of the layers below it must keep these files
+case.  The ``cohen`` outputs of the benchmark (nmax 2990 .. 3010) are
+compared by sha256 with ``bench/reference.json``, which is only read here.
+Refactors of the CLI or of the layers below it must keep these files
 unchanged.  To record them afresh (only when an output change is intended):
 
     python3 tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 FORMATS = ("text", "json", "csv")
 
 
@@ -59,6 +65,20 @@ def test_golden_output(request, argv, code):
     expected = (GOLDEN_DIR / f"{request.node.callspec.id}.out").read_bytes()
     got, out = run_cli(argv)
     assert (got, out.encode()) == (code, expected)
+
+
+@cache
+def bench_reference():
+    return json.loads(BENCH_REFERENCE.read_text())["outputs"]
+
+
+@pytest.mark.parametrize("nmax", range(2990, 3011))
+def test_cohen_matches_bench_reference(nmax):
+    # the large outputs of the benchmark's cohen workload, by stdout sha256
+    argv = ["cohen", "--nmax", str(nmax)]
+    expected = bench_reference()[" ".join(argv)]
+    code, out = run_cli(argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected["exit"], expected["sha256"])
 
 
 def record() -> None:

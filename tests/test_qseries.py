@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from humbert.arith import COHEN_BOUND, divisors, factor, kronecker
 from humbert.qseries import (
     QSeries,
     add,
     cohen_coefficients,
-    cohen_series,
     eta_power,
     inverse,
     mul,
@@ -18,6 +19,20 @@ from humbert.qseries import (
     sub,
     theta,
 )
+
+
+def cohen_series(prec):
+    """The q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4: the
+    oracle for the divisor sieve of ``cohen_coefficients``."""
+    th = theta(prec)
+    quotient = mul(eta_power(4, 8, prec), eta_power(2, -4, prec))
+    assert quotient.lead == 1
+    return sub(power(th, 5), scale(mul(th, quotient), 20))
+
+
+@cache
+def cohen_oracle(prec):
+    return list(cohen_series(prec).coeffs)
 
 
 def euler_product_oracle(scale_factor, prec):
@@ -173,3 +188,63 @@ def test_cohen_normalization_is_eisenstein_like():
 
 def test_cohen_series_lead_is_integer():
     assert cohen_series(6).lead == 0
+
+
+def test_cohen_sieve_matches_q_series_oracle():
+    assert cohen_coefficients(2000) == cohen_oracle(2001)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300))
+def test_cohen_sieve_matches_q_series_oracle_at_every_length(nmax):
+    assert cohen_coefficients(nmax) == cohen_oracle(301)[: nmax + 1]
+
+
+def test_cohen_bound():
+    with pytest.raises(ValueError, match="input too large"):
+        cohen_coefficients(COHEN_BOUND + 1)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        cohen_coefficients(-1)
+
+
+def _l_minus_1(D):
+    # L(-1, chi_D) = -B_{2,chi}/2, B_{2,chi} = D * sum_{a=1}^{D} chi(a) B_2(a/D)
+    # with B_2(x) = x**2 - x + 1/6; L(-1, chi_1) = zeta(-1) = -1/12
+    if D == 1:
+        return Fraction(-1, 12)
+    b2 = D * sum(kronecker(D, a) * (Fraction(a, D) ** 2 - Fraction(a, D) + Fraction(1, 6))
+                 for a in range(1, D + 1))
+    return -b2 / 2
+
+
+def _mobius(d):
+    exponents = [e for _, e in factor(d)]
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def cohen_closed_formula(n):
+    """a_n = 120*H(2, n) by Cohen's formula (Math. Ann. 217, 1975), for n >= 1:
+    with n = D*f**2, D = 1 or a fundamental discriminant,
+    H(2, n) = L(-1, chi_D) * sum over d | f of mu(d) chi_D(d) d sigma_3(f/d),
+    and H(2, n) = 0 for n = 2, 3 mod 4."""
+    if n % 4 in (2, 3):
+        return 0
+    core = math.prod(p for p, e in factor(n) if e % 2)
+    D = core if core % 4 == 1 else 4 * core
+    f = math.isqrt(n // D)
+    assert D * f * f == n
+    total = sum(_mobius(d) * kronecker(D, d) * d * sum(e ** 3 for e in divisors(f // d))
+                for d in divisors(f))
+    return 120 * _l_minus_1(D) * total
+
+
+# squares, powers of 2 and 3, primes = 1 mod 4, D = 4k with k = 2, 3 mod 4,
+# and n = 2, 3 mod 4, up to 10**4
+CLOSED_FORMULA_SAMPLES = (201, 256, 1000, 1025, 2023, 2500, 3600, 4096, 4097, 5000,
+                          6561, 7001, 7922, 8192, 8281, 9240, 9409, 9801, 9997, 10000)
+
+
+def test_cohen_sieve_matches_closed_formula():
+    coeffs = cohen_coefficients(10**4)
+    for n in (*range(1, 201), *CLOSED_FORMULA_SAMPLES):
+        assert coeffs[n] == cohen_closed_formula(n), n
