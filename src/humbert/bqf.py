@@ -1,4 +1,11 @@
-"""Integral binary quadratic forms: reduction, class numbers, Hurwitz numbers."""
+"""Integral binary quadratic forms: reduction, class numbers, Hurwitz numbers.
+
+Class numbers and Hurwitz numbers come one value at a time (``class_number``,
+``hurwitz``) or as per-run tables (``class_number_table``, ``hurwitz_table``)
+built from one count of the reduced forms of every discriminant up to a bound
+(``form_count_table``): h by Moebius inversion over square divisors, 12H
+directly from the count.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,10 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 
-from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant
+from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, smallest_prime_factors
 
 
 @dataclass(frozen=True, order=True)
@@ -118,15 +127,9 @@ def cache_clear() -> None:
     _CLASS_NUMBER_CACHE.clear()
 
 
-def class_number_table(x: int) -> array:
-    """h(-k) for 0 <= k <= x as an array indexed by k (0 where -k is not a
-    discriminant, and at k = 0).
-
-    One pass over the reduced primitive forms (a, b, c) with 4ac - b**2 <= x
-    (Cohen, GTM 138, 5.3, run for all discriminants at once): for fixed
-    (a, b) the discriminants step by 4a as c grows.  Rejects
-    x > arith.TABLE_BOUND.
-    """
+def _form_counts(x: int) -> list[int]:
+    # The number of reduced forms (a, b, c), primitive or not, with
+    # 4ac - b**2 = k for 0 <= k <= x, as a list indexed by k.
     if x < 0:
         raise ValueError("table size must be >= 0")
     if x > TABLE_BOUND:
@@ -135,17 +138,46 @@ def class_number_table(x: int) -> array:
     for a in range(1, math.isqrt(x // 3) + 1):
         step = 4 * a
         for b in range(-a + 1, a + 1):
-            # (a, b, a) is reduced only for b >= 0
-            c0 = a if b >= 0 else a + 1
-            g = math.gcd(a, b)
-            if g == 1:
-                for k in range(step * c0 - b * b, x + 1, step):
-                    counts[k] += 1
-            else:
-                for c, k in enumerate(range(step * c0 - b * b, x + 1, step), c0):
-                    if math.gcd(g, c) == 1:
-                        counts[k] += 1
-    return array("q", counts)
+            # (a, b, a) is reduced only for b >= 0; for fixed (a, b) the
+            # discriminants step by 4a as c grows
+            start = step * (a if b >= 0 else a + 1) - b * b
+            counts[start::step] = map(add, counts[start::step], repeat(1))
+    return counts
+
+
+def form_count_table(x: int) -> array:
+    """The number of reduced forms of discriminant -k, primitive or not, for
+    0 <= k <= x as an array indexed by k (0 where -k is not a discriminant,
+    and at k = 0): the sum of h(-k/g**2) over g**2 | k.
+
+    One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
+    GTM 138, 5.3, run for all discriminants at once).  Rejects
+    x > arith.TABLE_BOUND.
+    """
+    return array("q", _form_counts(x))
+
+
+def class_number_table(x: int) -> array:
+    """h(-k) for 0 <= k <= x as an array indexed by k (0 where -k is not a
+    discriminant, and at k = 0).
+
+    The Moebius inversion h(-k) = sum over g**2 | k of mu(g) times the form
+    count of -k/g**2 (``form_count_table``), one slice per squarefree
+    g <= sqrt(x).  Rejects x > arith.TABLE_BOUND.
+    """
+    counts = _form_counts(x)
+    table = counts[:]
+    root = math.isqrt(x)
+    spf = smallest_prime_factors(root)
+    mu = [0, 1] + [0] * (root - 1)
+    for g in range(2, root + 1):
+        p = spf[g]
+        mu[g] = 0 if (g // p) % p == 0 else -mu[g // p]
+        if mu[g]:
+            square = g * g
+            table[::square] = map(add if mu[g] > 0 else sub, table[::square],
+                                  counts[:x // square + 1])
+    return array("q", table)
 
 
 def unit_weight_denominator(d: int) -> int:
@@ -191,19 +223,20 @@ def hurwitz(n: int) -> Fraction:
     return value
 
 
-def hurwitz_table(class_numbers: array) -> array:
-    """12*H(n) for 0 <= n <= x as an array indexed by n, from
-    ``class_number_table(x)``: entry 0 is -1, and each discriminant -k adds
-    h(-k) weighted 4, 6 or 12 (for -3, -4 and the rest) at every k*r**2."""
-    x = len(class_numbers) - 1
-    table = array("q", bytes(8 * (x + 1)))
+def hurwitz_table(x: int) -> array:
+    """12*H(n) for 0 <= n <= x as an array indexed by n.
+
+    Entry 0 is -1, and entry n > 0 is 12 times the form count of -n
+    (``form_count_table``) less 8 at n = 3r**2 and 6 at n = 4r**2, where the
+    forms r*(1, 1, 1) and r*(1, 0, 1) weigh 4 and 6 instead of 12.  Rejects
+    x > arith.TABLE_BOUND.
+    """
+    table = array("q", map(mul, _form_counts(x), repeat(12)))
     table[0] = -1
-    for k in range(3, x + 1):
-        h = class_numbers[k]
-        if h:
-            value = h * (4 if k == 3 else 6 if k == 4 else 12)
-            for r in range(1, math.isqrt(x // k) + 1):
-                table[k * r * r] += value
+    for r in range(1, math.isqrt(x // 3) + 1):
+        table[3 * r * r] -= 8
+        if 4 * r * r <= x:
+            table[4 * r * r] -= 6
     return table
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Literal
 
 from . import bqf
 from .arith import InternalCheckError, is_prime
 from .bqf import BQF
 from .genus import EligibleForm
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 # Searching represented primes past this bound signals a misconfigured form.
 PRIME_SEARCH_BOUND = 100_000
@@ -402,6 +403,8 @@ class PeriodCheck:
 def period_matrix(ob: OrderBasis, z) -> tuple[mp.mpc, mp.mpc, mp.mpc]:
     """Entries (t1, t2, t3) of the normalized period matrix at a point z in
     the upper half-plane, from the closed formulas for each order kind."""
+    import mpmath as mp  # only the period checks need it; kept off the import path
+
     dn, p, s = ob.dn, ob.p, ob.s
     zz = mp.mpc(z)
     if mp.im(zz) <= 0:
@@ -425,6 +428,8 @@ def period_matrix(ob: OrderBasis, z) -> tuple[mp.mpc, mp.mpc, mp.mpc]:
 def period_matrix_check(ob: OrderBasis, z, tol: float = DEFAULT_PERIOD_TOL) -> PeriodCheck:
     """Check that the period matrix at z satisfies both base singular
     relations within tol and that its imaginary part is positive definite."""
+    import mpmath as mp
+
     with mp.workdps(_PERIOD_DPS):
         t1, t2, t3 = period_matrix(ob, z)
         l1, l2 = base_singular_relations(ob)

@@ -11,11 +11,12 @@ Two identities are verified, both as equalities of reduced rationals:
   volume term, with a_n the Cohen-series coefficients.
 
 ``verify_relation`` and ``verify_kronecker`` read class numbers from tables
-built once per call (``bqf.class_number_table``, ``shimura.level_tables``),
-and ``verify_relation`` enumerates each form's lattice once for all n and
-reads a_n from one ``cohen_coefficients`` list.  ``lattice_sum`` and
-``verification_row`` evaluate one row point by point; they are the oracle
-the tables are checked against.  A failed cross-check raises
+built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
+``bqf.hurwitz_table``).  ``verify_relation`` enumerates each form's lattice
+once for all n and reads a_n from one ``cohen_coefficients`` list;
+``verify_kronecker`` adds its theta and divisor sums as strided slices.
+``lattice_sum`` and ``verification_row`` evaluate one row point by point;
+they are the oracle the tables are checked against.  A failed cross-check raises
 ``InternalCheckError``.
 """
 
@@ -27,8 +28,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, repeat
+from operator import add
 
-from .arith import TABLE_BOUND, InternalCheckError, sigma
+from .arith import TABLE_BOUND, InternalCheckError
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
@@ -352,19 +355,37 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
 
 
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:
-    """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly,
-    from one table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``)."""
+    """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly.
+
+    The theta sum over x of 12*H(4n - x**2) is coefficient n of theta times
+    the table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``), added one
+    column m = 4n - x**2 per x >= 0.  The sums of min(d, n/d) and sigma(n)
+    come from one divisor sieve over d <= sqrt(nmax).  Rejects
+    4*nmax > arith.TABLE_BOUND before any work.
+    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    hurwitz12 = hurwitz_table(class_number_table(4 * nmax))
+    if 4 * nmax > TABLE_BOUND:
+        raise ValueError(f"input too large: 4*nmax = {4 * nmax} exceeds the table bound {TABLE_BOUND}")
+    hurwitz12 = hurwitz_table(4 * nmax)
+    # theta[n]: the terms with x > 0, each counted once for x and once for -x
+    theta = [0] * (nmax + 1)
+    for x in range(1, math.isqrt(4 * nmax) + 1):
+        n0 = (x * x + 3) // 4
+        theta[n0:] = map(add, theta[n0:], hurwitz12[4 * n0 - x * x:4 * nmax - x * x + 1:4])
+    # the divisor pairs d*e = n with d <= e
+    min_sums = [0] * (nmax + 1)
+    sigmas = [0] * (nmax + 1)
+    for d in range(1, math.isqrt(nmax) + 1):
+        square = d * d
+        min_sums[square] += d
+        sigmas[square] += d
+        min_sums[square + d::d] = map(add, min_sums[square + d::d], repeat(2 * d))
+        sigmas[square + d::d] = map(add, sigmas[square + d::d], count(2 * d + 1))
     rows = []
     for n in range(1, nmax + 1):
-        xmax = math.isqrt(4 * n)
-        lhs = Fraction(sum(hurwitz12[4 * n - x * x] for x in range(-xmax, xmax + 1)), 12)
-        for d in range(1, math.isqrt(n) + 1):
-            if n % d == 0:
-                dd = n // d
-                lhs += min(d, dd) if d == dd else 2 * min(d, dd)
-        rhs = Fraction(2 * sigma(n))
-        rows.append(KroneckerRow(n=n, lhs=lhs, rhs=rhs, match=lhs == rhs))
+        lhs12 = hurwitz12[4 * n] + 2 * theta[n] + 12 * min_sums[n]
+        rhs = 2 * sigmas[n]
+        rows.append(KroneckerRow(n=n, lhs=Fraction(lhs12, 12), rhs=Fraction(rhs),
+                                 match=lhs12 == 12 * rhs))
     return rows

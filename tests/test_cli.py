@@ -261,6 +261,14 @@ def test_bad_flags_exit_2(capsys):
         assert "nmax must be >= 1" in err
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath serves only the period-matrix checks of selfcheck
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys, humbert.cli; print('mpmath' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_broken_pipe_exits_141_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("HUMBERT_CACHE", None)

@@ -2,8 +2,9 @@
 
 Every case runs ``humbert.cli.main`` in-process and compares its stdout byte
 for byte with ``tests/golden/<name>.out``; the exit status is part of the
-case.  The ``cohen`` outputs of the benchmark (nmax 2990 .. 3010) are
-compared by sha256 with ``bench/reference.json``, which is only read here.
+case.  The ``cohen`` and ``kronecker`` outputs of the benchmark (nmax
+2990 .. 3010) are compared by sha256 with ``bench/reference.json``, which
+is only read here.
 Refactors of the CLI or of the layers below it must keep these files
 unchanged.  To record them afresh (only when an output change is intended):
 
@@ -72,13 +73,22 @@ def bench_reference():
     return json.loads(BENCH_REFERENCE.read_text())["outputs"]
 
 
-@pytest.mark.parametrize("nmax", range(2990, 3011))
-def test_cohen_matches_bench_reference(nmax):
-    # the large outputs of the benchmark's cohen workload, by stdout sha256
-    argv = ["cohen", "--nmax", str(nmax)]
+def _check_bench_reference(argv):
     expected = bench_reference()[" ".join(argv)]
     code, out = run_cli(argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected["exit"], expected["sha256"])
+
+
+@pytest.mark.parametrize("nmax", range(2990, 3011))
+def test_cohen_matches_bench_reference(nmax):
+    # the large outputs of the benchmark's cohen workload, by stdout sha256
+    _check_bench_reference(["cohen", "--nmax", str(nmax)])
+
+
+@pytest.mark.parametrize("nmax", range(2990, 3011))
+def test_kronecker_matches_bench_reference(nmax):
+    # the outputs of the benchmark's kronecker workload, by stdout sha256
+    _check_bench_reference(["kronecker", "--nmax", str(nmax)])
 
 
 def record() -> None:

@@ -1,5 +1,6 @@
 """Property tests: the per-run tables against the per-value code they replace
-on the verify and kronecker paths, which stays in ``src/`` as the oracle."""
+on the verify and kronecker paths.  The per-value code stays in ``src/`` as
+the oracle, except the per-row Kronecker loop, which lives here."""
 
 import itertools
 import math
@@ -9,10 +10,10 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from humbert.arith import TABLE_BOUND, prime_divisors
-from humbert.bqf import class_number, class_number_table, hurwitz, hurwitz_table
+from humbert.arith import TABLE_BOUND, prime_divisors, sigma
+from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
-from humbert.relations import verification_row, verify_relation
+from humbert.relations import verification_row, verify_kronecker, verify_relation
 from humbert.shimura import ShimuraLevel, level_tables, table_denominator, weighted_class_number
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
@@ -27,7 +28,29 @@ def h_table(x):
 
 @cache
 def h12_table(x):
-    return hurwitz_table(h_table(x))
+    return hurwitz_table(x)
+
+
+@cache
+def form_counts(x):
+    return form_count_table(x)
+
+
+@cache
+def kronecker_rows(nmax):
+    return verify_kronecker(nmax)
+
+
+def kronecker_oracle(n):
+    # one row of the Hurwitz-Kronecker relation, point by point
+    xmax = math.isqrt(4 * n)
+    lhs = sum(hurwitz(4 * n - x * x) for x in range(-xmax, xmax + 1))
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            dd = n // d
+            lhs += min(d, dd) if d == dd else 2 * min(d, dd)
+    rhs = Fraction(2 * sigma(n))
+    return lhs, rhs, lhs == rhs
 
 
 @cache
@@ -47,6 +70,14 @@ def report(d0, nmax):
 @given(st.integers(1, 3000))
 def test_h_table_matches_class_number(k):
     assert h_table(3000)[k] == (class_number(-k) if k % 4 in (0, 3) else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000))
+def test_form_count_table_matches_class_numbers(k):
+    expected = sum(class_number(-(k // (r * r))) for r in range(1, math.isqrt(k) + 1)
+                   if k % (r * r) == 0 and (k // (r * r)) % 4 in (0, 3))
+    assert form_counts(3000)[k] == expected
 
 
 def test_h_table_bounds():
@@ -92,3 +123,16 @@ def test_four_times_primitive_rows_are_covered():
 @given(st.integers(0, 4000))
 def test_hurwitz_table_matches_hurwitz(n):
     assert Fraction(h12_table(4000)[n], 12) == hurwitz(n)
+
+
+def test_kronecker_rows_match_oracle():
+    rows = verify_kronecker(400)
+    assert [row.n for row in rows] == list(range(1, 401))
+    for row in rows:
+        assert (row.lhs, row.rhs, row.match) == kronecker_oracle(row.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000))
+def test_kronecker_rhs_is_twice_sigma(n):
+    assert kronecker_rows(3000)[n - 1].rhs == 2 * sigma(n)
