@@ -1,10 +1,10 @@
 """Integral binary quadratic forms: reduction, class numbers, Hurwitz numbers.
 
-Class numbers and Hurwitz numbers come one value at a time (``class_number``,
-``hurwitz``) or as per-run tables (``class_number_table``, ``hurwitz_table``)
-built from one count of the reduced forms of every discriminant up to a bound
-(``form_count_table``): h by Moebius inversion over square divisors, 12H
-directly from the count.
+Class numbers and Hurwitz numbers come one value at a time, with no state
+kept (``class_number``, ``hurwitz``), or as per-run tables
+(``class_number_table``, ``hurwitz_table``) built from one count of the
+reduced forms of every discriminant up to a bound (``form_count_table``):
+h by Moebius inversion over square divisors, 12H directly from the count.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ def reduced_forms(d: int, primitive_only: bool = True) -> list[BQF]:
     return sorted(forms)
 
 
-_CLASS_NUMBER_CACHE: dict[int, int] = {}
-
-
 def class_number(d: int) -> int:
     """h(d): number of primitive reduced forms of discriminant d < 0.
 
@@ -116,15 +113,7 @@ def class_number(d: int) -> int:
     """
     if -d > CLASS_NUMBER_BOUND:
         raise ValueError(f"input too large: class numbers are counted up to |d| = {CLASS_NUMBER_BOUND}")
-    h = _CLASS_NUMBER_CACHE.get(d)
-    if h is None:
-        h = len(reduced_forms(d, primitive_only=True))
-        _CLASS_NUMBER_CACHE[d] = h
-    return h
-
-
-def cache_clear() -> None:
-    _CLASS_NUMBER_CACHE.clear()
+    return len(reduced_forms(d))
 
 
 def _form_counts(x: int) -> list[int]:
@@ -189,9 +178,6 @@ def unit_weight_denominator(d: int) -> int:
     return 1
 
 
-_HURWITZ_CACHE: dict[int, Fraction] = {}
-
-
 def hurwitz(n: int) -> Fraction:
     """Hurwitz class number H(n).
 
@@ -205,21 +191,16 @@ def hurwitz(n: int) -> Fraction:
         raise ValueError("undefined for negative argument")
     if n == 0:
         return Fraction(-1, 12)
-    value = _HURWITZ_CACHE.get(n)
-    if value is not None:
-        return value
     if (-n) % 4 in (2, 3):
-        value = Fraction(0)
-    else:
-        value = Fraction(0)
-        r = 1
-        while r * r <= n:
-            if n % (r * r) == 0:
-                d = -(n // (r * r))
-                if d % 4 in (0, 1):
-                    value += Fraction(class_number(d), unit_weight_denominator(d))
-            r += 1
-    _HURWITZ_CACHE[n] = value
+        return Fraction(0)
+    value = Fraction(0)
+    r = 1
+    while r * r <= n:
+        if n % (r * r) == 0:
+            d = -(n // (r * r))
+            if d % 4 in (0, 1):
+                value += Fraction(class_number(d), unit_weight_denominator(d))
+        r += 1
     return value
 
 

@@ -99,12 +99,6 @@ def genus_character(q: BQF, p: int, d0: int) -> int:
     return kronecker(a, p)
 
 
-def chi_minus4(q: BQF, d0: int) -> int:
-    """The character a -> (-4|a) on values coprime to 2*d0."""
-    _, _, a = find_coprime_value(q, d0)
-    return kronecker(-4, a)
-
-
 def eligible_forms(d0: int) -> list[EligibleForm]:
     """All GL(2,Z)-classes of discriminant -16*d0 representing only 0,1 mod 4.
 

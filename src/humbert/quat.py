@@ -23,6 +23,8 @@ from .bqf import BQF
 from .genus import EligibleForm
 
 if TYPE_CHECKING:
+    import random
+
     import mpmath as mp
 
 # Searching represented primes past this bound signals a misconfigured form.
@@ -239,11 +241,15 @@ def _basis_matrix_inverse(e: tuple[Quaternion, ...]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def coordinates_in_basis(ob: OrderBasis, q: Quaternion) -> tuple[Fraction, ...]:
-    """Coordinates of q over the order basis (exact)."""
-    minv = _basis_matrix_inverse(ob.e)
+def _coordinates(minv: list[list[Fraction]], q: Quaternion) -> tuple[Fraction, ...]:
+    # Coordinates of q over the basis whose inverse matrix is minv.
     vec = q.coords()
     return tuple(sum(vec[k] * minv[k][j] for k in range(4)) for j in range(4))
+
+
+def coordinates_in_basis(ob: OrderBasis, q: Quaternion) -> tuple[Fraction, ...]:
+    """Coordinates of q over the order basis (exact)."""
+    return _coordinates(_basis_matrix_inverse(ob.e), q)
 
 
 def build_order(form: EligibleForm) -> OrderBasis:
@@ -273,12 +279,8 @@ def build_order(form: EligibleForm) -> OrderBasis:
     minv = _basis_matrix_inverse(e)
     for a in e:
         for b in e:
-            prod = a * b
-            vec = prod.coords()
-            for j in range(4):
-                coord = sum(vec[k] * minv[k][j] for k in range(4))
-                if coord.denominator != 1:
-                    raise InternalCheckError("order construction inconsistent: not closed under multiplication")
+            if any(coord.denominator != 1 for coord in _coordinates(minv, a * b)):
+                raise InternalCheckError("order construction inconsistent: not closed under multiplication")
     return ob
 
 
@@ -441,3 +443,48 @@ def period_matrix_check(ob: OrderBasis, z, tol: float = DEFAULT_PERIOD_TOL) -> P
         max_residual = float(max(residuals))
         ok = max_residual < tol and lam_min > -tol
     return PeriodCheck(ok=ok, max_residual=max_residual)
+
+
+def check_order(form: EligibleForm, rng: random.Random) -> tuple[list[str], float]:
+    """Check the order of an eligible form; return the problems found and the
+    largest period residual.
+
+    Checks closure (in ``build_order``), reduced discriminant D*N, the order
+    form GL(2,Z)-equivalent to the source, the bordered Gram determinant
+    4*DN*n - Q(v, -u) for n in (1, 2, 3, 5) and |u|, |v| <= 3, the base
+    singular relations of the period matrix at 20 points z drawn from rng,
+    and the CM-point Gram determinant 4*nr(b) at 20 trace-zero coordinates
+    b drawn from rng.
+    """
+    ob = build_order(form)
+    problems = []
+    if reduced_discriminant(ob) != ob.dn:
+        problems.append("reduced discriminant != D*N")
+    q = order_form(ob)
+    if bqf.gl2_canonical(q) != form.form:
+        problems.append("order form not GL2-equivalent to source")
+    for n in (1, 2, 3, 5):
+        for u in range(-3, 4):
+            for v in range(-3, 4):
+                if det(bordered_gram(ob, n, u, v)) != 4 * ob.dn * n - q(v, -u):
+                    problems.append(f"det identity fails at (n,u,v)=({n},{u},{v})")
+    worst = 0.0
+    for _ in range(20):
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0))
+        check = period_matrix_check(ob, z)
+        worst = max(worst, check.max_residual)
+        if not check.ok:
+            problems.append(f"period residual {check.max_residual:.3e} at z={z}")
+            break
+    bb1, bb2, bb3 = trace_zero_basis(ob)
+    for _ in range(20):
+        # the parity constraints of cm_singular_gram
+        if ob.kind == "primitive":
+            b1, b2, b3 = rng.randrange(-6, 7), 2 * rng.randrange(-3, 4), 2 * rng.randrange(-3, 4)
+        else:
+            b1, b2, b3 = 2 * rng.randrange(-3, 4), rng.randrange(-6, 7), 2 * rng.randrange(-3, 4)
+        elt = b1 * bb1 + b2 * bb2 + b3 * bb3
+        if det(cm_singular_gram(ob, b1, b2, b3)) != 4 * elt.norm():
+            problems.append(f"cm gram determinant mismatch at b=({b1},{b2},{b3})")
+            break
+    return problems, worst

@@ -15,8 +15,9 @@ built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
 ``bqf.hurwitz_table``).  ``verify_relation`` enumerates each form's lattice
 once for all n and reads a_n from one ``cohen_coefficients`` list;
 ``verify_kronecker`` adds its theta and divisor sums as strided slices.
-``lattice_sum`` and ``verification_row`` evaluate one row point by point;
-they are the oracle the tables are checked against.  A failed cross-check raises
+``lattice_sum`` and ``verification_row`` evaluate one row point by point and
+keep no state; they are the oracle the tables are checked against, and the
+tables, built per run, are the only reuse.  A failed cross-check raises
 ``InternalCheckError``.
 """
 
@@ -199,25 +200,6 @@ def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
     return total
 
 
-def _checked_lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
-    # For four-times-primitive forms the collapsed sum over the quarter form
-    # is evaluated independently and must agree.
-    result = lattice_sum(form, n)
-    if form.kind == "four_times_primitive":
-        rewritten = _rewritten_quarter_sum(form, n)
-        if rewritten != result.value:
-            raise InternalCheckError(
-                f"rewritten quarter-form sum disagrees: {rewritten} != {result.value}"
-            )
-    return result
-
-
-def relation_lhs(form: EligibleForm, n: int) -> Fraction:
-    """Left-hand side of the class-number relation for an eligible form,
-    with the quarter-form cross-check applied where it exists."""
-    return _checked_lattice_sum(form, n).value
-
-
 def relation_rhs(form: EligibleForm, n: int) -> Fraction:
     """Right-hand side: a_n times the volume term of the level."""
     _validate(form, n)
@@ -227,10 +209,19 @@ def relation_rhs(form: EligibleForm, n: int) -> Fraction:
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
     """One exact comparison of the two sides, with the quarter-form
     cross-check applied where it exists."""
-    stats = _checked_lattice_sum(form, n)
+    stats = lattice_sum(form, n)
     lhs = stats.value
+    # For four-times-primitive forms the collapsed sum over the quarter form
+    # is evaluated independently and must agree.
+    if form.kind == "four_times_primitive":
+        rewritten = _rewritten_quarter_sum(form, n)
+        if rewritten != lhs:
+            raise InternalCheckError(
+                f"rewritten quarter-form sum disagrees: {rewritten} != {lhs}"
+            )
+    # one Cohen sieve per row, for a_n and for the right-hand side
     a_n = cohen_coefficients(n)[n]
-    rhs = relation_rhs(form, n)
+    rhs = a_n * volume_term(ShimuraLevel(form.D, form.N))
     return VerificationRow(
         d0=form.d0, form=form.form, D=form.D, N=form.N, n=n,
         lhs=lhs, rhs=rhs, a_n=a_n, match=lhs == rhs,

@@ -6,7 +6,8 @@ number h(d) by local optimal-embedding counts at the primes dividing D*N.
 The weighted sum over orders between d and its fundamental part, normalized
 by a 2-power and the unit weights, is the class-number function evaluated by
 ``weighted_class_number``; its value at 0 is minus half the curve volume.
-``level_tables`` tabulates the same function for all levels of one D*N.
+``weighted_class_number`` keeps no state; ``level_tables`` tabulates the
+same function for all levels of one D*N, once per run.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ class ShimuraLevel:
     N: int
 
     def __post_init__(self):
-        import math
-
         if self.D < 1 or self.N < 1:
             raise ValueError("D and N must be positive")
         if math.gcd(self.D, self.N) != 1:
@@ -95,30 +94,6 @@ def volume_term(level: ShimuraLevel) -> Fraction:
     return value
 
 
-_CACHE: dict[tuple[int, int, int], Fraction] = {}
-
-
-def _weighted_class_number_int(level: ShimuraLevel, m: int) -> Fraction:
-    key = (level.D, level.N, m)
-    value = _CACHE.get(key)
-    if value is not None:
-        return value
-    if m == 0:
-        value = volume_term(level)
-    elif (-m) % 4 in (2, 3):
-        value = Fraction(0)
-    else:
-        d0, f = fundamental_decomposition(-m)
-        omega = sum(1 for p in prime_divisors(level.product) if m % p != 0)
-        total = Fraction(0)
-        for r in divisors(f):
-            d = r * r * d0
-            total += Fraction(cm_point_count(level, d), bqf.unit_weight_denominator(d))
-        value = total / 2**omega
-    _CACHE[key] = value
-    return value
-
-
 def weighted_class_number(level: ShimuraLevel, m: int | Fraction) -> Fraction:
     """The class-number function of the level at a nonnegative rational m.
 
@@ -130,9 +105,18 @@ def weighted_class_number(level: ShimuraLevel, m: int | Fraction) -> Fraction:
     m = Fraction(m)
     if m < 0:
         raise ValueError("negative argument")
-    if m.denominator != 1:
+    if m.denominator != 1 or (-m) % 4 in (2, 3):
         return Fraction(0)
-    return _weighted_class_number_int(level, int(m))
+    m = int(m)
+    if m == 0:
+        return volume_term(level)
+    d0, f = fundamental_decomposition(-m)
+    omega = sum(1 for p in prime_divisors(level.product) if m % p != 0)
+    total = Fraction(0)
+    for r in divisors(f):
+        d = r * r * d0
+        total += Fraction(cm_point_count(level, d), bqf.unit_weight_denominator(d))
+    return total / 2**omega
 
 
 def _embedding_counts(key: tuple[int, ...], in_d: list[list[bool]]) -> list[int]:

@@ -80,20 +80,9 @@ def test_acceptance_5_quaternion_order_suite():
         for form in eligible_forms(d0):
             if form.D == 1:
                 continue
-            ob = quat.build_order(form)      # closure verified inside
-            assert quat.reduced_discriminant(ob) == ob.dn
-            q = quat.order_form(ob)
-            assert bqf.gl2_canonical(q) == form.form, form
-            for n in (1, 2, 5):
-                for u in range(-3, 4):
-                    for v in range(-3, 4):
-                        got = quat.det(quat.bordered_gram(ob, n, u, v))
-                        assert got == 4 * ob.dn * n - q(v, -u), (form, n, u, v)
-            for _ in range(20):
-                z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0))
-                check = quat.period_matrix_check(ob, z, tol=1e-9)
-                assert check.ok, (form, z, check.max_residual)
-                worst = max(worst, check.max_residual)
+            problems, residual = quat.check_order(form, rng)
+            assert not problems, (form, problems)
+            worst = max(worst, residual)
             checked += 1
     ok = checked >= 6 and worst < 1e-9
     report(5, ok, f"order suite over D0 in (10,15,21,26,33): {checked} forms, "

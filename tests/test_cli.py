@@ -195,7 +195,6 @@ def test_verify_jobs_deterministic(capsys):
 
 
 def test_cache_roundtrip(tmp_path, capsys):
-    bqf.cache_clear()
     cache = tmp_path / "classnums.txt"
     code1, out1, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20",
                          "--cache", str(cache))
@@ -207,7 +206,6 @@ def test_cache_roundtrip(tmp_path, capsys):
                          "--cache", str(cache))
     assert (code1, out1) == (code2, out2)
     # and identical to a cache-free run
-    bqf.cache_clear()
     code3, out3, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20")
     assert out3 == out1
 

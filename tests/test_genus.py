@@ -6,7 +6,6 @@ from humbert.arith import is_squarefree, kronecker, prime_divisors
 from humbert.bqf import BQF, reduced_forms, represents_only_0_1_mod4
 from humbert.genus import (
     atkin_lehner_group_order,
-    chi_minus4,
     coprime_values,
     eligible_forms,
     find_coprime_value,
@@ -14,6 +13,12 @@ from humbert.genus import (
 )
 
 SQUAREFREE_50 = [n for n in range(1, 51) if is_squarefree(n)]
+
+
+def chi_minus4(q: BQF, d0: int) -> int:
+    """The character a -> (-4|a) on values coprime to 2*d0."""
+    _, _, a = find_coprime_value(q, d0)
+    return kronecker(-4, a)
 
 
 def test_find_coprime_value_examples():

@@ -15,14 +15,17 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import subprocess
 import sys
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+BENCH_REFERENCE = ROOT / "bench" / "reference.json"
 FORMATS = ("text", "json", "csv")
 
 
@@ -89,6 +92,47 @@ def test_cohen_matches_bench_reference(nmax):
 def test_kronecker_matches_bench_reference(nmax):
     # the outputs of the benchmark's kronecker workload, by stdout sha256
     _check_bench_reference(["kronecker", "--nmax", str(nmax)])
+
+
+# Per-layer metrics that bench/run.py and bench/child.py add around the tracer.
+HARNESS_METRICS = {"cli.cache_bytes", "cli.stdout_bytes", "trace.overhead_s"}
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+from humbert import cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+for argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(tracer.report()))
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the tracer report")
+
+
+def test_tracer_reports_every_per_layer_metric(tmp_path):
+    # The benchmark's traced run keeps a per-layer metric only while the
+    # function it hooks exists undecorated; deleting or wrapping one (a memo
+    # decorator, say) drops the metric from the report.
+    calls = [["verify", "--d0", "10", "--nmax", "8", "--cache", str(tmp_path / "cache.txt")],
+             ["kronecker", "--nmax", "20"],
+             ["cohen", "--nmax", "12"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "bench"), json.dumps(calls)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    declared = {metric["name"] for metric in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert sorted(declared - HARNESS_METRICS - set(report)) == []
+    for name, value in report.items():
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)
 
 
 def record() -> None:

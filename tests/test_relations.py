@@ -7,8 +7,8 @@ from humbert.genus import eligible_forms
 from humbert.qseries import cohen_coefficients
 from humbert.relations import (
     lattice_sum,
-    relation_lhs,
     relation_rhs,
+    verification_row,
     verify_kronecker,
     verify_relation,
 )
@@ -29,7 +29,7 @@ def test_worked_instance():
     assert stats.value == Fraction(10, 3)
     assert stats.nonzero_interior_terms == 6
     assert stats.boundary_terms == 0
-    assert relation_lhs(F10, 1) == relation_rhs(F10, 1) == Fraction(10, 3)
+    assert verification_row(F10, 1).lhs == relation_rhs(F10, 1) == Fraction(10, 3)
     contributions = sorted(stats.terms)
     assert [(u, v, m, h) for u, v, m, h in contributions] == [
         (-1, -2, 3, Fraction(1, 3)),
@@ -52,11 +52,11 @@ def test_rhs_examples():
 def test_validation_errors():
     d1_form = form_of(10, (1, 0, 40))
     with pytest.raises(ValueError, match="D > 1"):
-        relation_lhs(d1_form, 1)
+        verification_row(d1_form, 1)
     with pytest.raises(ValueError, match="0 or 1 mod 4"):
-        relation_lhs(F10, 3)
+        verification_row(F10, 3)
     with pytest.raises(ValueError):
-        relation_lhs(F10, 0)
+        verification_row(F10, 0)
 
 
 def test_boundary_terms_instance():
@@ -100,9 +100,9 @@ def test_swap_arguments_relabelling_agrees():
 
 def test_quarter_form_rewritten_sum():
     f15 = form_of(15, (8, 4, 8))
-    # relation_lhs runs the rewritten-sum cross-check internally
+    # verification_row runs the rewritten-sum cross-check internally
     for n in (1, 4, 5):
-        assert relation_lhs(f15, n) == relation_rhs(f15, n)
+        assert verification_row(f15, n).lhs == relation_rhs(f15, n)
 
 
 def test_verify_relation_d0_10():
