@@ -8,6 +8,16 @@ by a 2-power and the unit weights, is the class-number function evaluated by
 ``weighted_class_number``; its value at 0 is minus half the curve volume.
 ``weighted_class_number`` keeps no state; ``level_tables`` tabulates the
 same function for all levels of one D*N, once per run.
+
+The tables rest on one identity.  With P = D*N, omega = omega(P) and
+L = 6*2**omega, L*H_{D,N}(m) = 2**#{q | P : q | m} * sum over s**2 | m of
+c[m/s**2], where c[k] = 6/e(k) * h(-k) * prod over q | P of l_q(k).  Each
+l_q(k) is in {0, 1, 2} and depends only on k mod q**2 (k mod 16 for q = 2):
+1 - (-k|q) at q | D and 1 + (-k|q) at q | N if q does not divide k; 1 if q
+is ramified (q || k, or k = 4, 8 mod 16); 0 at q | D and 2 at q | N if q
+divides the conductor (q**2 | k, or k = 0, 12 mod 16).  Where c[k] is
+nonzero the product is 2**(omega - #ramified), the same for every level; a
+level only decides which residue classes of k are zero.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lshift, rshift
 
 from . import bqf
 from .arith import (
@@ -119,26 +131,24 @@ def weighted_class_number(level: ShimuraLevel, m: int | Fraction) -> Fraction:
     return total / 2**omega
 
 
-def _embedding_counts(key: tuple[int, ...], in_d: list[list[bool]]) -> list[int]:
-    # Per level, the product over q | D*N of the local embedding counts of
-    # local_embedding_count; key holds (d0|q), or 2 where q divides the
-    # conductor of the order.
-    counts = []
-    for flags in in_d:
-        count = 1
-        for chi, is_d in zip(key, flags):
-            if chi == 2:
-                count *= 0 if is_d else 2
-            else:
-                count *= 1 - chi if is_d else 1 + chi
-        counts.append(count)
-    return counts
-
-
 def table_denominator(product: int) -> int:
     """L = 6 * 2**omega(D*N): L times the class-number function of any level
     with this D*N is an integer (unit weights 1/2 and 1/3, and the 2-power)."""
     return 6 << len(prime_divisors(product))
+
+
+def _residue_classes(q: int) -> tuple[list[tuple[int, int]], ...]:
+    # The classes (start, step) of k on which the local embedding count at q
+    # of the order of discriminant -k is 1 (ramified), 0 at q | D (split, or
+    # q divides the conductor) and 0 at q | N (inert): periodic mod 16 for
+    # q = 2 and mod q**2 for odd q, with (-k|q) read once per k mod q.
+    if q == 2:
+        return [(4, 16), (8, 16)], [(7, 8), (0, 16), (12, 16)], [(3, 8)]
+    square = q * q
+    symbols = [kronecker(-a, q) for a in range(q)]
+    return ([(q * t, square) for t in range(1, q)],
+            [(a, q) for a in range(1, q) if symbols[a] == 1] + [(0, square)],
+            [(a, q) for a in range(1, q) if symbols[a] == -1])
 
 
 def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[ShimuraLevel, array]:
@@ -146,10 +156,11 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
     0 <= m <= x, with L = table_denominator(D*N) and class_numbers =
     bqf.class_number_table(x).
 
-    One pass over m fills every level: the fundamental decomposition of -m
-    (from a smallest-prime-factor sieve), the symbols (d0|q) at the primes
-    q | D*N, the 2-power and the h lookups of the orders between -m and d0
-    are shared, and only the product of local embedding counts is per level.
+    L*H_{D,N}(m) = 2**#{q | D*N : q | m} * sum over s**2 | m of c[m/s**2]
+    (module docstring), and a nonzero c[k] is 6/e(k) h(-k) L/6 halved once
+    per ramified q.  Each level copies one shared list of those values,
+    zeros its split and conductor classes at q | D and inert classes at
+    q | N, adds the square-divisor sum in place and shifts by the 2-powers.
     """
     products = {level.product for level in levels}
     if len(products) != 1 or products == {1}:
@@ -158,51 +169,39 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
     x = len(class_numbers) - 1
     primes = prime_divisors(product)
     denominator = table_denominator(product)
-    # (d|q) depends on d mod q for odd q and on d mod 8 for q = 2
-    moduli = [8 if q == 2 else q for q in primes]
-    symbols = [[kronecker(r, q) for r in range(mod)] for q, mod in zip(primes, moduli)]
-    in_d = [[level.D % q == 0 for q in primes] for level in levels]
-    tables = [array("q", bytes(8 * (x + 1))) for _ in levels]
-    for table, level in zip(tables, levels):
+    classes = {q: _residue_classes(q) for q in primes}
+    shared = [h * denominator for h in class_numbers]
+    # 6 over the unit weight 3 or 2 of the orders of discriminant -3 and -4
+    shared[3:5] = [h * w * denominator // 6 for h, w in zip(class_numbers[3:5], (2, 3))]
+    for q in primes:
+        for start, step in classes[q][0]:
+            shared[start::step] = map(rshift, shared[start::step], repeat(1))
+    # #{q | D*N : q | m} as one byte per m, raised with one slice per q
+    shifts, increment = bytearray(x + 1), bytes(range(1, 256)) + b"\0"
+    for q in primes:
+        shifts[::q] = shifts[::q].translate(increment)
+    # c[k] = 0 for k < 3, so only squares p**2 <= x/3 add anything
+    spf = smallest_prime_factors(math.isqrt(x // 3))
+    sieve_primes = [p for p in range(2, len(spf)) if spf[p] == p]
+    tables = {}
+    for level in levels:
+        table = shared[:]
+        for q in primes:
+            _, d_zero, n_zero = classes[q]
+            for start, step in d_zero if level.D % q == 0 else n_zero:
+                table[start::step] = [0] * len(range(start, x + 1, step))
+        # the sum over s**2 | m in place, one prime p at a time: with S = p**2,
+        # table[S*j] += table[j] for ascending j, in blocks [S**e, S**(e+1));
+        # a block reads only what the block before it wrote
+        for p in sieve_primes:
+            square = p * p
+            low, high = 0, square
+            while low <= x // square:
+                high = min(high, x // square + 1)
+                table[square * low:square * high:square] = map(
+                    add, table[square * low:square * high:square], table[low:high])
+                low, high = high, high * square
+        # the array replaces the list, which is freed before the next level
+        tables[level] = table = array("q", map(lshift, table, shifts))
         table[0] = int(denominator * volume_term(level))
-    spf = smallest_prime_factors(x)
-    fmax = math.isqrt(x)
-    embedding_counts: dict[tuple[int, ...], list[int]] = {}
-    conductor_divisors: list[list[int]] = [[] for _ in range(fmax + 1)]
-    for r in range(1, fmax + 1):
-        for f in range(r, fmax + 1, r):
-            conductor_divisors[f].append(r)
-    for m in range(3, x + 1):
-        if m % 4 in (1, 2):
-            continue
-        # m = root**2 * core with core squarefree
-        rest, core, root = m, 1, 1
-        while rest > 1:
-            p = spf[rest]
-            rest //= p
-            if rest % p == 0:
-                rest //= p
-                root *= p
-            else:
-                core *= p
-        # -m = f**2 * d0 with d0 = -base fundamental
-        base, f = (core, root) if core % 4 == 3 else (4 * core, root // 2)
-        chis = tuple(sym[-base % mod] for sym, mod in zip(symbols, moduli))
-        totals = [0] * len(levels)
-        for r in conductor_divisors[f]:
-            k = r * r * base
-            # 6 over the unit weight 3, 2 or 1 of the order of discriminant -k
-            weight = class_numbers[k] * (2 if k == 3 else 3 if k == 4 else 6)
-            # 2 marks a prime dividing the conductor r of the order
-            key = chis if r == 1 else tuple(2 if r % q == 0 else chi
-                                            for q, chi in zip(primes, chis))
-            counts = embedding_counts.get(key)
-            if counts is None:
-                counts = embedding_counts[key] = _embedding_counts(key, in_d)
-            for i, count in enumerate(counts):
-                totals[i] += weight * count
-        # the function divides by 2 for each q | D*N not dividing m
-        shift = sum(1 for q in primes if m % q == 0)
-        for table, total in zip(tables, totals):
-            table[m] = total << shift
-    return dict(zip(levels, tables))
+    return tables

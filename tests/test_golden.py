@@ -3,8 +3,9 @@
 Every case runs ``humbert.cli.main`` in-process and compares its stdout byte
 for byte with ``tests/golden/<name>.out``; the exit status is part of the
 case.  The ``cohen`` and ``kronecker`` outputs of the benchmark (nmax
-2990 .. 3010) are compared by sha256 with ``bench/reference.json``, which
-is only read here.
+2990 .. 3010) and its ``verify`` outputs (the sweep and wide families) are
+compared by sha256 with ``bench/reference.json``, which is only read here;
+two larger ``verify`` runs are pinned by sha256 in this file.
 Refactors of the CLI or of the layers below it must keep these files
 unchanged.  To record them afresh (only when an output change is intended):
 
@@ -92,6 +93,30 @@ def test_cohen_matches_bench_reference(nmax):
 def test_kronecker_matches_bench_reference(nmax):
     # the outputs of the benchmark's kronecker workload, by stdout sha256
     _check_bench_reference(["kronecker", "--nmax", str(nmax)])
+
+
+@pytest.mark.parametrize("key", sorted(k for k in bench_reference() if k.startswith("verify ")))
+def test_verify_matches_bench_reference(key):
+    # the verify outputs of the benchmark's sweep and wide workloads, run
+    # without the cache file, by stdout sha256
+    _check_bench_reference(key.split())
+
+
+# stdout sha256 of verify inputs that neither the golden files nor the
+# benchmark cover, recorded with the per-m level-table loop that
+# tests/test_tables.py keeps as level_tables_oracle
+VERIFY_PINS = {
+    # 31 levels, q = 2 .. 13
+    "verify --d0 30030 --nmax 4": "e89eff6804a891afe5def68eca8a0ebc6b6393c5c6a903489d7cfefc1ef72c79",
+    # one level at a large argument range
+    "verify --d0 6 --nmax 2000": "8f781326f2a173e7243d2b579fda57cb7df1ad9221769eaf52e0be6d764ef0ec",
+}
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY_PINS))
+def test_verify_matches_pinned_digest(key):
+    code, out = run_cli(key.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, VERIFY_PINS[key])
 
 
 # Per-layer metrics that bench/run.py and bench/child.py add around the tracer.

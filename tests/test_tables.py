@@ -1,6 +1,7 @@
 """Property tests: the per-run tables against the per-value code they replace
 on the verify and kronecker paths.  The per-value code stays in ``src/`` as
-the oracle, except the per-row Kronecker loop, which lives here."""
+the oracle, except the per-row Kronecker loop and the per-m level-table
+loop, which live here."""
 
 import itertools
 import math
@@ -10,11 +11,17 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from humbert.arith import TABLE_BOUND, prime_divisors, sigma
+from humbert.arith import TABLE_BOUND, kronecker, prime_divisors, sigma, smallest_prime_factors
 from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
 from humbert.relations import verification_row, verify_kronecker, verify_relation
-from humbert.shimura import ShimuraLevel, level_tables, table_denominator, weighted_class_number
+from humbert.shimura import (
+    ShimuraLevel,
+    level_tables,
+    table_denominator,
+    volume_term,
+    weighted_class_number,
+)
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
 LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)
@@ -53,12 +60,81 @@ def kronecker_oracle(n):
     return lhs, rhs, lhs == rhs
 
 
+def _embedding_counts(key, in_d):
+    # Per level, the product over q | D*N of the local embedding counts of
+    # local_embedding_count; key holds (d0|q), or 2 where q divides the
+    # conductor of the order.
+    counts = []
+    for flags in in_d:
+        count = 1
+        for chi, is_d in zip(key, flags):
+            if chi == 2:
+                count *= 0 if is_d else 2
+            else:
+                count *= 1 - chi if is_d else 1 + chi
+        counts.append(count)
+    return counts
+
+
+def level_tables_oracle(levels, class_numbers):
+    # level_tables one m at a time: the fundamental decomposition of -m from
+    # a smallest-prime-factor sieve, the symbols (d0|q), and the sum over the
+    # orders between -m and d0 of h times the local embedding counts
+    (product,) = {level.product for level in levels}
+    x = len(class_numbers) - 1
+    primes = prime_divisors(product)
+    denominator = table_denominator(product)
+    # (d|q) depends on d mod q for odd q and on d mod 8 for q = 2
+    moduli = [8 if q == 2 else q for q in primes]
+    symbols = [[kronecker(r, q) for r in range(mod)] for q, mod in zip(primes, moduli)]
+    in_d = [[level.D % q == 0 for q in primes] for level in levels]
+    tables = [[0] * (x + 1) for _ in levels]
+    for table, level in zip(tables, levels):
+        table[0] = int(denominator * volume_term(level))
+    spf = smallest_prime_factors(x)
+    for m in range(3, x + 1):
+        if m % 4 in (1, 2):
+            continue
+        # m = root**2 * core with core squarefree
+        rest, core, root = m, 1, 1
+        while rest > 1:
+            p = spf[rest]
+            rest //= p
+            if rest % p == 0:
+                rest //= p
+                root *= p
+            else:
+                core *= p
+        # -m = f**2 * d0 with d0 = -base fundamental
+        base, f = (core, root) if core % 4 == 3 else (4 * core, root // 2)
+        chis = tuple(sym[-base % mod] for sym, mod in zip(symbols, moduli))
+        totals = [0] * len(levels)
+        for r in range(1, f + 1):
+            if f % r:
+                continue
+            k = r * r * base
+            # 6 over the unit weight 3, 2 or 1 of the order of discriminant -k
+            weight = class_numbers[k] * (2 if k == 3 else 3 if k == 4 else 6)
+            # 2 marks a prime dividing the conductor r of the order
+            key = tuple(2 if r % q == 0 else chi for q, chi in zip(primes, chis))
+            for i, count in enumerate(_embedding_counts(key, in_d)):
+                totals[i] += weight * count
+        # the function divides by 2 for each q | D*N not dividing m
+        shift = sum(1 for q in primes if m % q == 0)
+        for table, total in zip(tables, totals):
+            table[m] = total << shift
+    return dict(zip(levels, tables))
+
+
+def d0_levels(d0):
+    primes = prime_divisors(d0)
+    return [ShimuraLevel(math.prod(ds), d0 // math.prod(ds))
+            for k in range(0, len(primes) + 1, 2) for ds in itertools.combinations(primes, k)]
+
+
 @cache
 def all_level_tables(d0):
-    primes = prime_divisors(d0)
-    levels = [ShimuraLevel(math.prod(ds), d0 // math.prod(ds))
-              for k in range(0, len(primes) + 1, 2) for ds in itertools.combinations(primes, k)]
-    return level_tables(levels, h_table(20 * d0))
+    return level_tables(d0_levels(d0), h_table(20 * d0))
 
 
 @cache
@@ -92,6 +168,17 @@ def test_level_tables_match_weighted_class_number(d0, m):
     m %= 20 * d0 + 1
     for level, table in all_level_tables(d0).items():
         assert Fraction(table[m], table_denominator(d0)) == weighted_class_number(level, m)
+
+
+@pytest.mark.parametrize("d0,x", [*((d0, 20 * d0) for d0 in LEVEL_D0), (30030, 30030),
+                                  *((d0, x) for d0 in (6, 30, 1155, 30030) for x in range(21))])
+def test_level_tables_match_oracle(d0, x):
+    # every entry of every level, against the per-m loop; x < 3, x < 4 and x
+    # below the periods 16 and 169 of the residue classes are covered
+    levels = d0_levels(d0)
+    got = level_tables(levels, h_table(x))
+    expected = level_tables_oracle(levels, h_table(x))
+    assert {level: list(table) for level, table in got.items()} == expected
 
 
 def test_level_tables_reject_mixed_levels():
