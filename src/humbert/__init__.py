@@ -11,11 +11,23 @@ from .arith import factor, fundamental_decomposition, is_squarefree, kronecker, 
 from .bqf import BQF, class_number, hurwitz, reduce, reduced_forms
 from .genus import EligibleForm, eligible_forms, genus_character
 from .qseries import QSeries, cohen_coefficients, eta_power, theta
-from .quat import OrderBasis, Quaternion, SingularRelation, build_order
 from .relations import verify_kronecker, verify_relation
 from .shimura import ShimuraLevel, weighted_class_number
 
 __version__ = "0.1.0"
+
+# The quaternion-order module serves only selfcheck; it is imported the first
+# time the module or one of these names is asked for (PEP 562).
+_QUAT_NAMES = frozenset({"OrderBasis", "Quaternion", "SingularRelation", "build_order"})
+
+
+def __getattr__(name: str):
+    if name == "quat" or name in _QUAT_NAMES:
+        from importlib import import_module
+
+        quat = import_module(".quat", __name__)
+        return quat if name == "quat" else getattr(quat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BQF",

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, smallest_prime_factors
 
 
-@dataclass(frozen=True, order=True)
-class BQF:
+class BQF(NamedTuple):
     """The form a*x**2 + b*x*y + c*y**2."""
 
     a: int

@@ -22,7 +22,7 @@ import tempfile
 from array import array
 from fractions import Fraction
 
-from . import __version__, arith, bqf, genus, quat, relations
+from . import __version__, arith, bqf, genus, relations
 from .qseries import cohen_coefficients
 from .shimura import ShimuraLevel, weighted_class_number
 
@@ -34,8 +34,8 @@ SELFCHECK_D0 = (10, 15, 21, 33)
 
 
 def fmt_rat(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    # str of an int or a Fraction is already "p" or "p/q" in lowest terms
+    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,8 @@ def cmd_kronecker(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import quat
+
     d0_list = [args.d0] if args.d0 else list(SELFCHECK_D0)
     rng = random.Random(20240901)
     failures = 0
@@ -310,9 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process, built on the first call: parse_args leaves it
+    # unchanged.  It holds the cmd_* functions bound when it was built.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -11,8 +11,7 @@ attached to the form and N the level of the Eichler order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from . import bqf
 from .arith import is_prime, is_squarefree, kronecker, prime_divisors
@@ -23,8 +22,7 @@ from .bqf import BQF
 SPIRAL_SEARCH_BOUND = 200
 
 
-@dataclass(frozen=True)
-class EligibleForm:
+class EligibleForm(NamedTuple):
     form: BQF
     d0: int
     kind: Literal["primitive", "four_times_primitive"]

@@ -17,23 +17,27 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .arith import COHEN_BOUND
 
 
-@dataclass(frozen=True)
-class QSeries:
+class _QSeriesFields(NamedTuple):
     lead: Fraction
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if (24 * self.lead).denominator != 1:
+
+class QSeries(_QSeriesFields):
+    __slots__ = ()
+
+    def __new__(cls, lead: Fraction, coeffs: tuple[int, ...]):
+        if (24 * lead).denominator != 1:
             raise ValueError("leading exponent must have denominator dividing 24")
-        if len(self.coeffs) < 1:
+        if len(coeffs) < 1:
             raise ValueError("series needs at least one stored coefficient")
+        return super().__new__(cls, lead, coeffs)
 
     @property
     def prec(self) -> int:

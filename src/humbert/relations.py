@@ -27,10 +27,10 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, repeat
 from operator import add
+from typing import NamedTuple
 
 from .arith import TABLE_BOUND, InternalCheckError
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
@@ -45,8 +45,7 @@ from .shimura import (
 )
 
 
-@dataclass(frozen=True)
-class LatticeSum:
+class LatticeSum(NamedTuple):
     """Breakdown of the left-hand lattice sum."""
 
     value: Fraction
@@ -59,8 +58,7 @@ class LatticeSum:
     # terms: (u, v, m, contribution) for every nonzero term, when collected
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     d0: int
     form: BQF
     D: int
@@ -73,8 +71,7 @@ class VerificationRow:
     term_count: int
 
 
-@dataclass(frozen=True)
-class SkippedForm:
+class SkippedForm(NamedTuple):
     d0: int
     form: BQF
     D: int
@@ -82,23 +79,26 @@ class SkippedForm:
     reason: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     d0: int
     nmax: int
     rows: list[VerificationRow]
     skipped: list[SkippedForm]
     # h(-k) for k <= D0*nmax, the table the rows were computed from (only
     # k = 0 when every form is skipped)
-    class_numbers: array = field(repr=False)
+    class_numbers: array
 
     @property
     def all_match(self) -> bool:
         return all(row.match for row in self.rows)
 
+    def __repr__(self):
+        # leaves out class_numbers, which can hold 5*10**5 entries
+        return (f"VerificationReport(d0={self.d0!r}, nmax={self.nmax!r}, "
+                f"rows={self.rows!r}, skipped={self.skipped!r})")
 
-@dataclass(frozen=True)
-class KroneckerRow:
+
+class KroneckerRow(NamedTuple):
     n: int
     lhs: Fraction
     rhs: Fraction

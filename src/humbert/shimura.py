@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, lshift, rshift
+from typing import NamedTuple
 
 from . import bqf
 from .arith import (
@@ -42,22 +42,26 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class ShimuraLevel:
-    """Coprime squarefree pair (D, N); D has an even number of prime factors."""
-
+class _ShimuraLevelFields(NamedTuple):
     D: int
     N: int
 
-    def __post_init__(self):
-        if self.D < 1 or self.N < 1:
+
+class ShimuraLevel(_ShimuraLevelFields):
+    """Coprime squarefree pair (D, N); D has an even number of prime factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, D: int, N: int):
+        if D < 1 or N < 1:
             raise ValueError("D and N must be positive")
-        if math.gcd(self.D, self.N) != 1:
+        if math.gcd(D, N) != 1:
             raise ValueError("D and N must be coprime")
-        if not (is_squarefree(self.D) and is_squarefree(self.N)):
+        if not (is_squarefree(D) and is_squarefree(N)):
             raise ValueError("D and N must be squarefree")
-        if len(prime_divisors(self.D)) % 2 != 0:
+        if len(prime_divisors(D)) % 2 != 0:
             raise ValueError("D must have an even number of prime factors")
+        return super().__new__(cls, D, N)
 
     @property
     def product(self) -> int:

@@ -259,12 +259,43 @@ def test_bad_flags_exit_2(capsys):
         assert "nmax must be >= 1" in err
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath serves only the period-matrix checks of selfcheck
+def test_repeated_calls_share_one_parser_and_no_state(capsys):
+    # main builds its parser once; no option of one call leaks into the next
+    first = run(capsys, "verify", "--d0", "10", "--nmax", "4", "--format", "json")
+    with pytest.raises(SystemExit):
+        main(["verify", "--d0", "10", "--nmax", "bad"])
+    capsys.readouterr()
+    text = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    assert first[0] == text[0] == 0
+    assert json.loads(first[1])["all_match"] is True
+    assert text[1].endswith("all_match=True rows=2 skipped=1\n")
+    assert run(capsys, "verify", "--d0", "10", "--nmax", "4", "--format", "json") == first
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", "import sys, humbert.cli; print('mpmath' in sys.modules)"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath and humbert.quat serve only selfcheck; the value types are
+    # named tuples, so nothing on the import path needs dataclasses
+    proc = _python("import sys, humbert.cli\n"
+                   "print([m for m in ('mpmath', 'humbert.quat', 'dataclasses') if m in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_quaternion_names_load_on_first_use():
+    proc = _python("import sys, humbert\n"
+                   "print('humbert.quat' in sys.modules)\n"
+                   "from humbert import OrderBasis, Quaternion, SingularRelation, build_order\n"
+                   "print(Quaternion.__module__, build_order is humbert.quat.build_order)")
+    assert (proc.returncode, proc.stdout) == (0, "False\nhumbert.quat True\n")
+    proc = _python("from humbert import *\n"
+                   "import humbert\n"
+                   "print(sorted(set(humbert.__all__) - set(globals())), OrderBasis.__name__)")
+    assert (proc.returncode, proc.stdout) == (0, "[] OrderBasis\n")
 
 
 def test_broken_pipe_exits_141_without_traceback():
