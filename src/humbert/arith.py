@@ -23,8 +23,8 @@ CLASS_NUMBER_BOUND = 10**9
 # X = 10**5, 0.86 s at 2*10**5 and 4.5 s and 33 MiB at 5*10**5 (it grows as
 # X**1.5), and each level table costs 8*X bytes.  Near the bound, verify
 # 1155 --nmax 432 (7 levels) took 8.6 s and 64 MiB, verify 30030 --nmax 16
-# (31 levels) 7.5 s and 150 MiB, and kronecker --nmax 125000 14.7 s and
-# 71 MiB.
+# (31 levels) 7.5 s and 150 MiB, and kronecker --nmax 125000 3.6-3.9 s and
+# 70 MiB.
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On

@@ -124,12 +124,18 @@ def _form_counts(x: int) -> list[int]:
         raise ValueError(f"input too large: tables are built up to {TABLE_BOUND} entries")
     counts = [0] * (x + 1)
     for a in range(1, math.isqrt(x // 3) + 1):
+        # for fixed (a, b) the discriminants step by 4a as c grows from a
         step = 4 * a
-        for b in range(-a + 1, a + 1):
-            # (a, b, a) is reduced only for b >= 0; for fixed (a, b) the
-            # discriminants step by 4a as c grows
-            start = step * (a if b >= 0 else a + 1) - b * b
+        for b in (0, a):
+            start = step * a - b * b
             counts[start::step] = map(add, counts[start::step], repeat(1))
+        for b in range(1, a):
+            # (a, -b, c) is reduced for c > a only, so its progression is
+            # that of (a, b, c) without the first term
+            start = step * a - b * b
+            counts[start::step] = map(add, counts[start::step], repeat(2))
+            if start <= x:
+                counts[start] -= 1
     return counts
 
 

@@ -11,14 +11,9 @@ output format.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import os
-import random
-import signal
 import sys
-import tempfile
 from array import array
 from fractions import Fraction
 
@@ -75,6 +70,8 @@ def load_cache(path: str, class_numbers: array) -> None:
 
 def save_cache(path: str, class_numbers: array) -> None:
     """Atomically write the run's class numbers h(-k) (write-temp-then-rename)."""
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
     try:
@@ -101,12 +98,31 @@ def _cache_path(args) -> str | None:
 def emit(args, command: str, params: dict, columns: list[str], rows, text,
          all_match: bool = True, extra: dict | None = None) -> None:
     """Print a result as json or csv (``rows``: dicts keyed by ``columns``) or
-    as the lines of ``text``; only the iterable the format needs is consumed."""
+    as the lines of ``text``; only the iterable the format needs is consumed.
+
+    The json document is the text of ``json.dumps(doc, sort_keys=True)``,
+    written one top-level key and one row at a time, so no list of rows is
+    held."""
     if args.format == "json":
-        doc = {"command": command, "params": params, "rows": list(rows), "all_match": all_match}
+        import json
+
+        doc = {"command": command, "params": params, "rows": None, "all_match": all_match}
         doc.update(extra or {})
-        print(json.dumps(doc, sort_keys=True))
+        encode = json.JSONEncoder(sort_keys=True).encode
+        write = sys.stdout.write
+        for i, key in enumerate(sorted(doc)):
+            write(f"{', ' if i else '{'}{encode(key)}: ")
+            if key == "rows":
+                write("[")
+                for j, row in enumerate(rows):
+                    write(f"{', ' if j else ''}{encode(row)}")
+                write("]")
+            else:
+                write(encode(doc[key]))
+        write("}\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([row[col] for col in columns] for row in rows)
@@ -227,9 +243,11 @@ def cmd_kronecker(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    import random
+
     from . import quat
 
-    d0_list = [args.d0] if args.d0 else list(SELFCHECK_D0)
+    d0_list = [args.d0] if args.d0 is not None else list(SELFCHECK_D0)
     rng = random.Random(20240901)
     failures = 0
     for d0 in d0_list:
@@ -326,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except arith.InternalCheckError as exc:
@@ -335,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed the pipe (`humbert ... | head`): point stdout at
         # /dev/null so the flush at exit stays quiet, and report SIGPIPE.
+        import signal
+
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

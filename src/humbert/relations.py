@@ -14,7 +14,9 @@ Two identities are verified, both as equalities of reduced rationals:
 built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
 ``bqf.hurwitz_table``).  ``verify_relation`` enumerates each form's lattice
 once for all n and reads a_n from one ``cohen_coefficients`` list;
-``verify_kronecker`` adds its theta and divisor sums as strided slices.
+``verify_kronecker`` adds its theta sum as shifted packed integers, two
+columns of the 12H table in 64-bit fields, and its divisor sums as strided
+slices.
 ``lattice_sum`` and ``verification_row`` evaluate one row point by point and
 keep no state; they are the oracle the tables are checked against, and the
 tables, built per run, are the only reuse.  A failed cross-check raises
@@ -24,6 +26,7 @@ tables, built per run, are the only reuse.  A failed cross-check raises
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -345,14 +348,45 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                               class_numbers=class_numbers)
 
 
+def _theta_sum(hurwitz12: array, nmax: int) -> array:
+    # theta[n] = sum over x >= 1 of 12*H(4n - x**2) for 0 <= n <= nmax, as
+    # packed ints (see verify_kronecker).  4n - x**2 is 4m for even x and
+    # 4m + 3 for odd x, with n - m = (x*x + 3)//4 in both cases.
+    columns = (hurwitz12[0::4], hurwitz12[3::4])
+    # 12*H(0) = -1 would borrow from the next field; it is put back below
+    columns[0][0] = 0
+    xmax = math.isqrt(4 * nmax)
+    # a field sums at most xmax entries, one per x
+    if any(min(column) < 0 or max(column) * xmax >= 1 << 63 for column in columns):
+        raise InternalCheckError(f"theta sum at nmax={nmax} does not fit 64-bit fields")
+    big_endian = sys.byteorder == "big"
+    if big_endian:
+        for column in columns:
+            column.byteswap()
+    even, odd = (int.from_bytes(column.tobytes(), "little") for column in columns)
+    total = 0
+    for x in range(1, xmax + 1):
+        total += (odd if x & 1 else even) << 64 * ((x * x + 3) // 4)
+    width = 8 * (nmax + 1)
+    theta = array("q", (total & ((1 << 8 * width) - 1)).to_bytes(width, "little"))
+    if big_endian:
+        theta.byteswap()
+    # the terms 12*H(0) of x = 2y
+    for y in range(1, math.isqrt(nmax) + 1):
+        theta[y * y] -= 1
+    return theta
+
+
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly.
 
     The theta sum over x of 12*H(4n - x**2) is coefficient n of theta times
-    the table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``), added one
-    column m = 4n - x**2 per x >= 0.  The sums of min(d, n/d) and sigma(n)
-    come from one divisor sieve over d <= sqrt(nmax).  Rejects
-    4*nmax > arith.TABLE_BOUND before any work.
+    the table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``).  It is
+    computed as packed integers (Kronecker substitution): the columns
+    m = 0 and m = 3 mod 4 of the table become two ints of 64-bit fields, and
+    each x >= 1 adds one of them shifted by (x*x + 3)//4 fields.  The sums
+    of min(d, n/d) and sigma(n) come from one divisor sieve over
+    d <= sqrt(nmax).  Rejects 4*nmax > arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -360,10 +394,7 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
         raise ValueError(f"input too large: 4*nmax = {4 * nmax} exceeds the table bound {TABLE_BOUND}")
     hurwitz12 = hurwitz_table(4 * nmax)
     # theta[n]: the terms with x > 0, each counted once for x and once for -x
-    theta = [0] * (nmax + 1)
-    for x in range(1, math.isqrt(4 * nmax) + 1):
-        n0 = (x * x + 3) // 4
-        theta[n0:] = map(add, theta[n0:], hurwitz12[4 * n0 - x * x:4 * nmax - x * x + 1:4])
+    theta = _theta_sum(hurwitz12, nmax)
     # the divisor pairs d*e = n with d <= e
     min_sums = [0] * (nmax + 1)
     sigmas = [0] * (nmax + 1)

@@ -148,6 +148,15 @@ def test_only_internal_check_errors_exit_3(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="not a cross-check"):
         main(["kronecker", "--nmax", "4"])
 
+    # only a ValueError means bad input (exit 2): an indexing fault in a
+    # table kernel must not pass for one
+    def fault(nmax):
+        return [][nmax]
+
+    monkeypatch.setattr(relations, "verify_kronecker", fault)
+    with pytest.raises(IndexError):
+        main(["kronecker", "--nmax", "4"])
+
     def broken(nmax):
         raise relations.InternalCheckError("two evaluations disagree")
 
@@ -257,6 +266,11 @@ def test_bad_flags_exit_2(capsys):
         code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", nmax)
         assert (code, out) == (2, "")
         assert "nmax must be >= 1" in err
+    # D0 = 0 is an input like any other, not "no --d0 given"
+    for command in ("forms", "selfcheck"):
+        code, out, err = run(capsys, command, "--d0", "0")
+        assert (code, out) == (2, ""), command
+        assert "squarefree" in err, command
 
 
 def test_repeated_calls_share_one_parser_and_no_state(capsys):
@@ -280,9 +294,11 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_mpmath_unloaded():
     # mpmath and humbert.quat serve only selfcheck; the value types are
-    # named tuples, so nothing on the import path needs dataclasses
+    # named tuples, so nothing on the import path needs dataclasses; json,
+    # csv and signal serve only their output format and a broken pipe
     proc = _python("import sys, humbert.cli\n"
-                   "print([m for m in ('mpmath', 'humbert.quat', 'dataclasses') if m in sys.modules])")
+                   "print([m for m in ('mpmath', 'humbert.quat', 'dataclasses', 'json', 'csv',"
+                   " 'signal') if m in sys.modules])")
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 

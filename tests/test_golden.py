@@ -5,7 +5,8 @@ for byte with ``tests/golden/<name>.out``; the exit status is part of the
 case.  The ``cohen`` and ``kronecker`` outputs of the benchmark (nmax
 2990 .. 3010) and its ``verify`` outputs (the sweep and wide families) are
 compared by sha256 with ``bench/reference.json``, which is only read here;
-two larger ``verify`` runs are pinned by sha256 in this file.
+two larger ``verify`` runs, one larger ``kronecker`` run and one larger
+``cohen --format json`` run are pinned by sha256 in this file.
 Refactors of the CLI or of the layers below it must keep these files
 unchanged.  To record them afresh (only when an output change is intended):
 
@@ -117,6 +118,22 @@ VERIFY_PINS = {
 def test_verify_matches_pinned_digest(key):
     code, out = run_cli(key.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, VERIFY_PINS[key])
+
+
+# stdout sha256 recorded with the per-x theta column slices and the
+# per-(a, b) form count that tests/test_tables.py keeps as oracles, and with
+# the json document built whole by json.dumps
+OTHER_PINS = {
+    "kronecker --nmax 20000": "b296b8486a31476d68c4ee40b437eca59ad23d57c2863726e4b972cb0d2dcce4",
+    "cohen --nmax 5000 --format json":
+        "f0bb450633705c64fc1a6b0074fa8aa35e7a913d0ec651a34b9165ab5b48ac40",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OTHER_PINS))
+def test_output_matches_pinned_digest(key):
+    code, out = run_cli(key.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, OTHER_PINS[key])
 
 
 # Per-layer metrics that bench/run.py and bench/child.py add around the tracer.

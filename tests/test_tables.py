@@ -1,20 +1,29 @@
 """Property tests: the per-run tables against the per-value code they replace
 on the verify and kronecker paths.  The per-value code stays in ``src/`` as
-the oracle, except the per-row Kronecker loop and the per-m level-table
-loop, which live here."""
+the oracle, except the per-row Kronecker loop, the per-m level-table loop,
+the per-(a, b) form count and the per-x theta column slices, which live
+here."""
 
 import itertools
 import math
 from fractions import Fraction
 from functools import cache
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from humbert.arith import TABLE_BOUND, kronecker, prime_divisors, sigma, smallest_prime_factors
+from humbert.arith import (
+    TABLE_BOUND,
+    InternalCheckError,
+    kronecker,
+    prime_divisors,
+    sigma,
+    smallest_prime_factors,
+)
 from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
-from humbert.relations import verification_row, verify_kronecker, verify_relation
+from humbert.relations import _theta_sum, verification_row, verify_kronecker, verify_relation
 from humbert.shimura import (
     ShimuraLevel,
     level_tables,
@@ -58,6 +67,28 @@ def kronecker_oracle(n):
             lhs += min(d, dd) if d == dd else 2 * min(d, dd)
     rhs = Fraction(2 * sigma(n))
     return lhs, rhs, lhs == rhs
+
+
+def form_counts_oracle(x):
+    # form_count_table one strided slice per reduced (a, b): the forms
+    # (a, b, c) with c >= a, and c > a where b < 0
+    counts = [0] * (x + 1)
+    for a in range(1, math.isqrt(x // 3) + 1):
+        step = 4 * a
+        for b in range(-a + 1, a + 1):
+            start = step * (a if b >= 0 else a + 1) - b * b
+            counts[start::step] = map(add, counts[start::step], itertools.repeat(1))
+    return counts
+
+
+def kronecker_theta_oracle(hurwitz12, nmax):
+    # the theta sum of verify_kronecker one column slice per x >= 1: theta[n]
+    # gains 12*H(4n - x**2) for every n >= (x*x + 3)//4
+    theta = [0] * (nmax + 1)
+    for x in range(1, math.isqrt(4 * nmax) + 1):
+        n0 = (x * x + 3) // 4
+        theta[n0:] = map(add, theta[n0:], hurwitz12[4 * n0 - x * x:4 * nmax - x * x + 1:4])
+    return theta
 
 
 def _embedding_counts(key, in_d):
@@ -154,6 +185,40 @@ def test_form_count_table_matches_class_numbers(k):
     expected = sum(class_number(-(k // (r * r))) for r in range(1, math.isqrt(k) + 1)
                    if k % (r * r) == 0 and (k // (r * r)) % 4 in (0, 3))
     assert form_counts(3000)[k] == expected
+
+
+@pytest.mark.parametrize("x", [*range(61), 12000, 23100])
+def test_form_count_table_matches_oracle(x):
+    assert list(form_count_table(x)) == form_counts_oracle(x)
+
+
+# the first odd and even columns, the squares 1, 4 and 9 where 12*H(0) is
+# put back, and the benchmark's size
+@example(1)
+@example(2)
+@example(3)
+@example(4)
+@example(9)
+@example(3000)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2000))
+def test_kronecker_theta_matches_oracle(nmax):
+    table = h12_table(max(4 * nmax, 8000))[:4 * nmax + 1]
+    assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
+
+
+def test_theta_sum_rejects_entries_a_field_cannot_hold():
+    # a negative entry past 12*H(0) would borrow from the next 64-bit field,
+    # and xmax entries of 2**62 would carry out of it
+    nmax = 100
+    for m, value in ((7, -1), (40, 2**62), (4 * nmax - 1, 2**62)):
+        table = h12_table(4 * nmax)[:]
+        table[m] = value
+        with pytest.raises(InternalCheckError, match="64-bit fields"):
+            _theta_sum(table, nmax)
+    table = h12_table(4 * nmax)[:]
+    table[40] = (2**63 - 1) // math.isqrt(4 * nmax)
+    assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
 
 
 def test_h_table_bounds():
