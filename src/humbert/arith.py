@@ -51,7 +51,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("input too large: primality test is deterministic only below 2**64")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -72,12 +72,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factor(n: int, bound: int = FACTOR_BOUND) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (prime, exponent)."""
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of 1 <= n <= FACTOR_BOUND as a sorted list of (prime, exponent)."""
     if n < 1:
         raise ValueError("factor requires n >= 1")
-    if n > bound:
-        raise ValueError(f"input too large: factoring bound is {bound}")
+    if n > FACTOR_BOUND:
+        raise ValueError(f"input too large: factoring bound is {FACTOR_BOUND}")
     pairs: list[tuple[int, int]] = []
     m = n
     for p in (2, 3):

@@ -64,21 +64,21 @@ def _spiral() -> Iterator[tuple[int, int]]:
         r += 1
 
 
-def coprime_values(q: BQF, m: int, bound: int = SPIRAL_SEARCH_BOUND) -> Iterator[tuple[int, int, int]]:
-    """Yield (x, y, q(x,y)) over the spiral where gcd(q(x,y), 2m) = 1."""
+def coprime_values(q: BQF, m: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (x, y, q(x,y)) with gcd(q(x,y), 2m) = 1 over the spiral to SPIRAL_SEARCH_BOUND."""
     for x, y in _spiral():
-        if max(abs(x), abs(y)) > bound:
+        if max(abs(x), abs(y)) > SPIRAL_SEARCH_BOUND:
             return
         value = q(x, y)
         if value > 0 and math.gcd(value, 2 * m) == 1:
             yield (x, y, value)
 
 
-def find_coprime_value(q: BQF, m: int, bound: int = SPIRAL_SEARCH_BOUND) -> tuple[int, int, int]:
+def find_coprime_value(q: BQF, m: int) -> tuple[int, int, int]:
     """Smallest-height (x, y) with q(x, y) positive and coprime to 2m."""
     if not q.is_positive_definite():
         raise ValueError("not positive definite")
-    for hit in coprime_values(q, m, bound):
+    for hit in coprime_values(q, m):
         return hit
     raise ValueError("no coprime representation found within search bound")
 

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 # Searching represented primes past this bound signals a misconfigured form.
 PRIME_SEARCH_BOUND = 100_000
 
-DEFAULT_PERIOD_TOL = 1e-9
+PERIOD_TOL = 1e-9
 _PERIOD_DPS = 40
 
 
@@ -153,44 +153,24 @@ class SingularRelation:
 
 
 @dataclass(frozen=True)
-class OrderParameters:
+class OrderBasis:
+    """Explicit basis (e1..e4) of an Eichler order of level N in the algebra
+    of discriminant D attached to an eligible form, with the parameters
+    (p, s, t) of ``order_parameters``; ``kind`` is the source form's."""
+
+    source: EligibleForm
     kind: Literal["primitive", "four_times_primitive"]
     p: int
     s: int
     t: int
-
-
-@dataclass(frozen=True)
-class OrderBasis:
-    """Explicit basis (e1..e4) of an Eichler order of level N in the algebra
-    of discriminant D attached to an eligible form."""
-
-    source: EligibleForm
-    params: OrderParameters
     e: tuple[Quaternion, Quaternion, Quaternion, Quaternion]
-
-    @property
-    def kind(self) -> str:
-        return self.params.kind
 
     @property
     def dn(self) -> int:
         return self.source.D * self.source.N
 
-    @property
-    def p(self) -> int:
-        return self.params.p
 
-    @property
-    def s(self) -> int:
-        return self.params.s
-
-    @property
-    def t(self) -> int:
-        return self.params.t
-
-
-def order_parameters(form: EligibleForm) -> OrderParameters:
+def order_parameters(form: EligibleForm) -> tuple[int, int, int]:
     """Smallest represented prime p (coprime to 2DN) and matching (s, t).
 
     Primitive case: p is represented by the form itself, s is the smallest
@@ -214,11 +194,11 @@ def order_parameters(form: EligibleForm) -> OrderParameters:
         assert p % 4 == 1
         for s in range(0, 2 * p, 2):
             if (s * s * dn + 1) % p == 0:
-                return OrderParameters("primitive", p, s, (s * s * dn + 1) // p)
+                return p, s, (s * s * dn + 1) // p
     else:
         for s in range(1, 4 * p, 2):
             if (s * s * dn + 1) % (4 * p) == 0:
-                return OrderParameters("four_times_primitive", p, s, (s * s * dn + 1) // (4 * p))
+                return p, s, (s * s * dn + 1) // (4 * p)
     raise InternalCheckError("inconsistent parameters: no admissible s below 4p")
 
 
@@ -258,10 +238,10 @@ def build_order(form: EligibleForm) -> OrderBasis:
     Closure under multiplication (every product of basis elements has integer
     coordinates over the basis) is verified before returning.
     """
-    params = order_parameters(form)
-    dn, p, s = form.D * form.N, params.p, params.s
+    p, s, t = order_parameters(form)
+    dn = form.D * form.N
     one, i_, j_, k_ = basis_elements(dn, p)
-    if params.kind == "primitive":
+    if form.kind == "primitive":
         e = (
             one,
             Fraction(1, 2) * (one + j_),
@@ -275,7 +255,7 @@ def build_order(form: EligibleForm) -> OrderBasis:
             j_,
             Fraction(1, 2 * p) * (Fraction(s * dn) * j_ + k_),
         )
-    ob = OrderBasis(source=form, params=params, e=e)
+    ob = OrderBasis(source=form, kind=form.kind, p=p, s=s, t=t, e=e)
     minv = _basis_matrix_inverse(e)
     for a in e:
         for b in e:
@@ -307,20 +287,14 @@ def reduced_discriminant(ob: OrderBasis) -> int:
     return root
 
 
-def _perp_pair(ob: OrderBasis) -> tuple[Quaternion, Quaternion]:
-    # Basis of the rank-2 lattice (orthogonal complement of I in the order, mod Z).
-    if ob.kind == "primitive":
-        return ob.e[1], ob.e[3]
-    return ob.e[2], ob.e[3]
-
-
 def order_form(ob: OrderBasis) -> BQF:
     """The discriminant form disc(alpha*x + beta*y) on the rank-2 complement.
 
     Computed symbolically from traces and norms; GL(2,Z)-equivalent to the
     source form.
     """
-    alpha, beta = _perp_pair(ob)
+    # basis of the rank-2 lattice (orthogonal complement of I in the order, mod Z)
+    alpha, beta = (ob.e[1] if ob.kind == "primitive" else ob.e[2]), ob.e[3]
     a = alpha.disc()
     c = beta.disc()
     b = (alpha + beta).disc() - a - c
@@ -398,9 +372,6 @@ class PeriodCheck:
     ok: bool
     max_residual: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def period_matrix(ob: OrderBasis, z) -> tuple[mp.mpc, mp.mpc, mp.mpc]:
     """Entries (t1, t2, t3) of the normalized period matrix at a point z in
@@ -427,9 +398,9 @@ def period_matrix(ob: OrderBasis, z) -> tuple[mp.mpc, mp.mpc, mp.mpc]:
     return t1, t2, t3
 
 
-def period_matrix_check(ob: OrderBasis, z, tol: float = DEFAULT_PERIOD_TOL) -> PeriodCheck:
+def period_matrix_check(ob: OrderBasis, z) -> PeriodCheck:
     """Check that the period matrix at z satisfies both base singular
-    relations within tol and that its imaginary part is positive definite."""
+    relations within PERIOD_TOL and that its imaginary part is positive definite."""
     import mpmath as mp
 
     with mp.workdps(_PERIOD_DPS):
@@ -441,7 +412,7 @@ def period_matrix_check(ob: OrderBasis, z, tol: float = DEFAULT_PERIOD_TOL) -> P
         dt = im11 * im22 - im12 * im12
         lam_min = (tr - mp.sqrt(tr * tr - 4 * dt)) / 2
         max_residual = float(max(residuals))
-        ok = max_residual < tol and lam_min > -tol
+        ok = max_residual < PERIOD_TOL and lam_min > -PERIOD_TOL
     return PeriodCheck(ok=ok, max_residual=max_residual)
 
 

@@ -115,23 +115,16 @@ def _validate(form: EligibleForm, n: int) -> None:
         raise ValueError("n must be a positive integer congruent to 0 or 1 mod 4")
 
 
-def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False,
-                swap_arguments: bool = False, extra_margin: int = 0) -> LatticeSum:
+def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> LatticeSum:
     """Evaluate the left-hand side sum with exact enumeration.
 
     The sum runs over integer pairs (u, v) with u = a*n, v = c*n mod 2
     (a, c the outer coefficients of the form) and Q(v, u) <= 4*D0*n, each
     term contributing the weighted class number at D0*n - Q(v, u)/4; terms
     with a non-integral or inadmissible argument contribute zero.
-
-    ``swap_arguments`` evaluates the mathematically identical relabelling
-    with the roles of the two arguments (and their parities) exchanged,
-    as a convention cross-check.  ``extra_margin`` widens the enumeration
-    box; it must never change the value.
     """
     _validate(form, n)
-    q = form.form
-    a, b, c = (q.c, q.b, q.a) if swap_arguments else (q.a, q.b, q.c)
+    a, b, c = form.form
     d0 = form.d0
     level = ShimuraLevel(form.D, form.N)
     bound = 4 * d0 * n
@@ -147,7 +140,7 @@ def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False,
     boundary_count = 0
     visited = 0
     terms = []
-    umax = math.isqrt(a * n) + extra_margin
+    umax = math.isqrt(a * n)
     for u in range(-umax, umax + 1):
         if u % 2 != u_par:
             continue
@@ -155,8 +148,8 @@ def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False,
         # the window up to +-1, the exact test on Q(v, u) settles membership
         disc_v = (b * b - 4 * a * c) * u * u + 4 * a * bound
         root = math.isqrt(disc_v) if disc_v > 0 else 0
-        vmin = (-b * u - root) // (2 * a) - 2 - extra_margin
-        vmax = (-b * u + root) // (2 * a) + 2 + extra_margin
+        vmin = (-b * u - root) // (2 * a) - 2
+        vmax = (-b * u + root) // (2 * a) + 2
         v = vmin + ((v_par - vmin) % 2)
         while v <= vmax:
             value = qval(v, u)
@@ -230,17 +223,6 @@ def verification_row(form: EligibleForm, n: int) -> VerificationRow:
         lhs=lhs, rhs=rhs, a_n=a_n, match=lhs == rhs,
         term_count=stats.points_visited,
     )
-
-
-def skip_record(form: EligibleForm) -> SkippedForm:
-    return SkippedForm(
-        d0=form.d0, form=form.form, D=form.D, N=form.N,
-        reason="relation proved only for D > 1 (modular curve needs cusp terms)",
-    )
-
-
-def admissible_n(nmax: int) -> list[int]:
-    return [n for n in range(1, nmax + 1) if n % 4 in (0, 1)]
 
 
 def _form_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,
@@ -320,11 +302,16 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     skipped: list[SkippedForm] = []
     for form in forms:
         if form.D == 1:
-            skipped.append(skip_record(form))
+            skipped.append(SkippedForm(
+                d0=d0, form=form.form, D=form.D, N=form.N,
+                reason="relation proved only for D > 1 (modular curve needs cusp terms)",
+            ))
             continue
         table = tables[ShimuraLevel(form.D, form.N)]
         classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
-        for n in admissible_n(nmax):
+        for n in range(1, nmax + 1):
+            if n % 4 in (2, 3):
+                continue
             parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
             if parity not in classes:
                 classes[parity] = _theta_class(form, nmax, *parity)

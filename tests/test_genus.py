@@ -30,7 +30,7 @@ def test_find_coprime_value_examples():
 def test_find_coprime_value_exhausts_on_misuse():
     # content 2: every represented value is even, never coprime to 2m
     with pytest.raises(ValueError, match="no coprime representation"):
-        find_coprime_value(BQF(2, 0, 2), 10, bound=20)
+        find_coprime_value(BQF(2, 0, 2), 10)
 
 
 def test_genus_character_examples():

@@ -53,6 +53,8 @@ CASES = [
     _case("verify-jobs-json",
           ["verify", "--d0", "15", "--nmax", "20", "--format", "json", "--jobs", "8"]),
     _case("selfcheck", ["selfcheck", "--d0", "10"]),
+    # the default D0 list (10, 15, 21, 33), with the four-times form (8,4,8) of D0 = 15
+    _case("selfcheck-full", ["selfcheck"]),
     _case("verify-non-squarefree", ["verify", "--d0", "12", "--nmax", "4"], code=2),
 ]
 

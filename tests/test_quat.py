@@ -81,19 +81,19 @@ def test_mixed_algebra_rejected():
 
 def test_order_parameters_worked_example():
     f = [f for f in eligible_forms(10) if f.D == 10][0]
-    params = order_parameters(f)
-    assert params.p == 13
-    assert params.s % 2 == 0
-    assert params.p * params.t - params.s**2 * 10 == 1
+    p, s, t = order_parameters(f)
+    assert p == 13
+    assert s % 2 == 0
+    assert p * t - s**2 * 10 == 1
 
 
 def test_order_parameters_case2():
     f = [f for f in eligible_forms(15) if f.kind == "four_times_primitive" and f.D > 1][0]
-    params = order_parameters(f)
-    assert params.p % 2 == 1
-    assert params.s % 2 == 1
-    assert (params.s**2 * 15 + 1) % (4 * params.p) == 0
-    assert 4 * params.p * params.t - params.s**2 * 15 == 1
+    p, s, t = order_parameters(f)
+    assert p % 2 == 1
+    assert s % 2 == 1
+    assert (s**2 * 15 + 1) % (4 * p) == 0
+    assert 4 * p * t - s**2 * 15 == 1
 
 
 def test_case1_basis_invariants():

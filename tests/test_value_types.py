@@ -3,6 +3,7 @@ hashable ones serve as dict keys, forms sort by (a, b, c), and the checked
 constructors reject bad input."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -12,16 +13,27 @@ from humbert.qseries import QSeries
 from humbert.relations import verify_relation
 from humbert.shimura import ShimuraLevel
 
-REPORT = verify_relation(10, 8)
+
+@cache
+def report():
+    # built by the first test that asks for it, so that a broken table fails
+    # those tests instead of the collection of this module
+    return verify_relation(10, 8)
 
 
-@pytest.mark.parametrize("value, field", [
-    (BQF(1, 0, 1), "a"),
-    (ShimuraLevel(6, 5), "N"),
-    (eligible_forms(10)[0], "D"),
-    (REPORT.rows[0], "lhs"),
-])
-def test_fields_cannot_be_set(value, field):
+# (builder of a value, one of its fields); the test builds the value
+FIELD_CASES = [
+    (lambda: BQF(1, 0, 1), "a"),
+    (lambda: ShimuraLevel(6, 5), "N"),
+    (lambda: eligible_forms(10)[0], "D"),
+    (lambda: report().rows[0], "lhs"),
+]
+
+
+@pytest.mark.parametrize("build, field", FIELD_CASES,
+                         ids=[f"value{i}-{field}" for i, (_, field) in enumerate(FIELD_CASES)])
+def test_fields_cannot_be_set(build, field):
+    value = build()
     with pytest.raises(AttributeError):
         setattr(value, field, 0)
     with pytest.raises(AttributeError):
@@ -52,9 +64,9 @@ def test_qseries_constructor_checks():
 
 
 def test_report_repr_leaves_out_the_class_number_table():
-    text = repr(REPORT)
+    text = repr(report())
     assert text.startswith("VerificationReport(d0=10, nmax=8, rows=[VerificationRow(d0=10, ")
     assert ", skipped=[SkippedForm(d0=10, form=BQF(1, 0, 40), D=1, N=10, " in text
     assert text.endswith(")])")
     assert "class_numbers" not in text and "array" not in text
-    assert len(REPORT.class_numbers) > 1
+    assert len(report().class_numbers) > 1
