@@ -28,9 +28,10 @@ CLASS_NUMBER_BOUND = 10**9
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On
-# the same machine the divisor sieve and theta convolution take 0.014 s at
-# nmax = 3000, 1.2 s and 36 MiB at 10**5, and 3.7 s and 51 MiB at this bound
-# (they grow as nmax**1.5).  verify needs nmax <= TABLE_BOUND // 6 = 83333
+# the same machine the divisor-pair sieve and packed theta sum take 0.002 s
+# at nmax = 3000, 0.3 s at 10**5 and 0.7-0.9 s at this bound, where cohen
+# peaks at 41 MiB.  They grow as nmax**1.5: sqrt(nmax) big-int adds of
+# 2*nmax 64-bit fields.  verify needs nmax <= TABLE_BOUND // 6 = 83333
 # for every D0 with a level (D0 >= 6), which is below this bound.
 COHEN_BOUND = 2 * 10**5
 

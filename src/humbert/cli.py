@@ -127,8 +127,7 @@ def emit(args, command: str, params: dict, columns: list[str], rows, text,
         writer.writerow(columns)
         writer.writerows([row[col] for col in columns] for row in rows)
     else:
-        for line in text:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in text)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ Two identities are verified, both as equalities of reduced rationals:
 built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
 ``bqf.hurwitz_table``).  ``verify_relation`` enumerates each form's lattice
 once for all n and reads a_n from one ``cohen_coefficients`` list;
-``verify_kronecker`` adds its theta sum as shifted packed integers, two
-columns of the 12H table in 64-bit fields, and its divisor sums as strided
-slices.
+``verify_kronecker`` packs two columns of the 12H table into the theta kernel
+of the Cohen coefficients (``qseries._shifted_sum``), and adds its divisor
+sums as strided slices.
 ``lattice_sum`` and ``verification_row`` evaluate one row point by point and
 keep no state; they are the oracle the tables are checked against, and the
 tables, built per run, are the only reuse.  A failed cross-check raises
@@ -26,7 +26,6 @@ tables, built per run, are the only reuse.  A failed cross-check raises
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -38,7 +37,7 @@ from typing import NamedTuple
 from .arith import TABLE_BOUND, InternalCheckError
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
-from .qseries import cohen_coefficients
+from .qseries import _shifted_sum, cohen_coefficients
 from .shimura import (
     ShimuraLevel,
     level_tables,
@@ -336,28 +335,15 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
 
 
 def _theta_sum(hurwitz12: array, nmax: int) -> array:
-    # theta[n] = sum over x >= 1 of 12*H(4n - x**2) for 0 <= n <= nmax, as
-    # packed ints (see verify_kronecker).  4n - x**2 is 4m for even x and
-    # 4m + 3 for odd x, with n - m = (x*x + 3)//4 in both cases.
-    columns = (hurwitz12[0::4], hurwitz12[3::4])
+    # theta[n] = sum over x >= 1 of 12*H(4n - x**2) for 0 <= n <= nmax (see
+    # verify_kronecker).  4n - x**2 is 4m for even x = 2y and 4m + 3 for odd
+    # x = 2y + 1, with n - m = y*y and y*y + y + 1.
+    even, odd = hurwitz12[0::4], hurwitz12[3::4]
     # 12*H(0) = -1 would borrow from the next field; it is put back below
-    columns[0][0] = 0
+    even[0] = 0
     xmax = math.isqrt(4 * nmax)
-    # a field sums at most xmax entries, one per x
-    if any(min(column) < 0 or max(column) * xmax >= 1 << 63 for column in columns):
-        raise InternalCheckError(f"theta sum at nmax={nmax} does not fit 64-bit fields")
-    big_endian = sys.byteorder == "big"
-    if big_endian:
-        for column in columns:
-            column.byteswap()
-    even, odd = (int.from_bytes(column.tobytes(), "little") for column in columns)
-    total = 0
-    for x in range(1, xmax + 1):
-        total += (odd if x & 1 else even) << 64 * ((x * x + 3) // 4)
-    width = 8 * (nmax + 1)
-    theta = array("q", (total & ((1 << 8 * width) - 1)).to_bytes(width, "little"))
-    if big_endian:
-        theta.byteswap()
+    theta = _shifted_sum([(even, [y * y for y in range(1, xmax // 2 + 1)]),
+                          (odd, [y * y + y + 1 for y in range((xmax + 1) // 2)])], nmax + 1)
     # the terms 12*H(0) of x = 2y
     for y in range(1, math.isqrt(nmax) + 1):
         theta[y * y] -= 1

@@ -1,13 +1,16 @@
 import math
+import operator
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from humbert.arith import COHEN_BOUND, divisors, factor, kronecker
+from humbert.arith import COHEN_BOUND, InternalCheckError, divisors, factor, kronecker
 from humbert.qseries import (
     QSeries,
+    _shifted_sum,
     add,
     cohen_coefficients,
     eta_power,
@@ -33,6 +36,33 @@ def cohen_series(prec):
 @cache
 def cohen_oracle(prec):
     return list(cohen_series(prec).coeffs)
+
+
+def cohen_slices_oracle(nmax):
+    """The same coefficients from two slice updates per d <= nmax for g and
+    one full-length slice per x for the theta convolution."""
+    g = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        if d % 4:
+            g[d::d] = map(operator.add, g[d::d], repeat(8 * d))
+        if d % 2:
+            g[d::2 * d] = map(operator.sub, g[d::2 * d], repeat(20 * d))
+    g[0] = 1
+    coeffs = g[:]
+    twice = [2 * v for v in g]
+    for x in range(1, math.isqrt(nmax) + 1):
+        coeffs[x * x:] = map(operator.add, coeffs[x * x:], twice)
+    return coeffs
+
+
+def shifted_sum_oracle(terms, length):
+    out = [0] * length
+    for column, shifts in terms:
+        for shift in shifts:
+            for i, value in enumerate(column):
+                if shift + i < length:
+                    out[shift + i] += value
+    return out
 
 
 def euler_product_oracle(scale_factor, prec):
@@ -198,6 +228,45 @@ def test_cohen_sieve_matches_q_series_oracle():
 @given(st.integers(0, 300))
 def test_cohen_sieve_matches_q_series_oracle_at_every_length(nmax):
     assert cohen_coefficients(nmax) == cohen_oracle(301)[: nmax + 1]
+
+
+# every length up to 300, and the benchmark's cohen family 2990..3010
+@pytest.mark.parametrize("nmax", [*range(301), *range(2990, 3011)])
+def test_cohen_coefficients_match_slices_oracle(nmax):
+    assert cohen_coefficients(nmax) == cohen_slices_oracle(nmax)
+
+
+# at most 3 columns of 6 shifts: entries below 2**63 // 18 fill the fields
+# without carrying out of them
+shifted_terms = st.lists(
+    st.tuples(st.lists(st.integers(0, (2**63 - 1) // 18), max_size=12),
+              st.lists(st.integers(0, 15), max_size=6)),
+    max_size=3,
+)
+
+
+@example([], 0)
+@example([([5, 7], [0, 3])], 0)
+@example([([5, 7], [0])], 1)
+@example([([5, 7], []), ([1], [1])], 3)
+@example([([1, 2, 3], [2, 2, 0, 4, 9])], 4)
+@settings(max_examples=300, deadline=None)
+@given(shifted_terms, st.integers(0, 16))
+def test_shifted_sum_matches_double_loop(terms, length):
+    assert list(_shifted_sum(terms, length)) == shifted_sum_oracle(terms, length)
+
+
+def test_shifted_sum_rejects_entries_a_field_cannot_hold():
+    # a negative entry borrows from the next field; max entry * shift count
+    # reaching 2**63 may carry out of the sign bit, counted over all columns
+    for terms in ([([3, -1, 3], [0])], [([3, 1], [0, 1]), ([0, -1], [2])],
+                  [([2**62, 1], [0, 1])], [([1, 2**62], [5]), ([1], [0])],
+                  [([2**61], [0, 0, 9, 9])]):
+        with pytest.raises(InternalCheckError, match="64-bit fields"):
+            _shifted_sum(terms, 8)
+    assert list(_shifted_sum([([2**62 - 1, 1], [0, 0]), ([], [])], 3)) == [2**63 - 2, 2, 0]
+    most = (2**63 - 1) // 3
+    assert list(_shifted_sum([([most] * 3, [0, 1, 2])], 3)) == [most, 2 * most, 3 * most]
 
 
 def test_cohen_bound():
