@@ -5,18 +5,22 @@ kept (``class_number``, ``hurwitz``), or as per-run tables
 (``class_number_table``, ``hurwitz_table``) built from one count of the
 reduced forms of every discriminant up to a bound (``form_count_table``):
 h by Moebius inversion over square divisors, 12H directly from the count.
+The count adds bytes along strided slices and moves them into one int of
+32-bit fields before any byte could wrap.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, smallest_prime_factors
+from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, InternalCheckError, is_discriminant, smallest_prime_factors
 
 
 class BQF(NamedTuple):
@@ -122,21 +126,38 @@ def _form_counts(x: int) -> list[int]:
         raise ValueError("table size must be >= 0")
     if x > TABLE_BOUND:
         raise ValueError(f"input too large: tables are built up to {TABLE_BOUND} entries")
-    counts = [0] * (x + 1)
+    # Each (a, b) adds 1 or 2 to a strided slice of one byte per k; before a
+    # byte could wrap, the plane moves into the 32-bit fields of one int.
+    plus1, plus2 = bytes(range(1, 256)) + b"\0", bytes(range(2, 256)) + b"\0\1"
+    plane, fields, total, load = bytearray(x + 1), bytearray(4 * (x + 1)), 0, 0
     for a in range(1, math.isqrt(x // 3) + 1):
-        # for fixed (a, b) the discriminants step by 4a as c grows from a
+        # for fixed (a, b) the discriminants step by 4a as c grows from a, so
+        # k gains only from the b with -b**2 = k mod 4a, at most 2 from each
         step = 4 * a
+        gain = 2 * max(Counter(map(pow, range(a + 1), repeat(2), repeat(step))).values())
+        if load + gain > 255:
+            fields[::4] = plane
+            total += int.from_bytes(fields, "little")
+            plane, load = bytearray(x + 1), 0
+        load += gain
         for b in (0, a):
             start = step * a - b * b
-            counts[start::step] = map(add, counts[start::step], repeat(1))
+            plane[start::step] = plane[start::step].translate(plus1)
         for b in range(1, a):
             # (a, -b, c) is reduced for c > a only, so its progression is
-            # that of (a, b, c) without the first term
+            # that of (a, b, c) without the first term, which has just gained 2
             start = step * a - b * b
-            counts[start::step] = map(add, counts[start::step], repeat(2))
+            plane[start::step] = plane[start::step].translate(plus2)
             if start <= x:
-                counts[start] -= 1
-    return counts
+                plane[start] -= 1
+    fields[::4] = plane
+    counts = array("I")
+    if counts.itemsize != 4:
+        raise InternalCheckError("form counts need 4-byte array items")
+    counts.frombytes((total + int.from_bytes(fields, "little")).to_bytes(4 * (x + 1), "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts.tolist()
 
 
 def form_count_table(x: int) -> array:
@@ -145,8 +166,11 @@ def form_count_table(x: int) -> array:
     and at k = 0): the sum of h(-k/g**2) over g**2 | k.
 
     One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
-    GTM 138, 5.3, run for all discriminants at once).  Rejects
-    x > arith.TABLE_BOUND.
+    GTM 138, 5.3, run for all discriminants at once): one strided slice per
+    a and pair (b, -b), adding 1 or 2 to one byte per k with
+    ``bytes.translate``.  Before a byte could wrap, from a bound on what one
+    a can add to it, the bytes move into the 32-bit fields of one int.
+    Rejects x > arith.TABLE_BOUND.
     """
     return array("q", _form_counts(x))
 

@@ -12,8 +12,9 @@ Two identities are verified, both as equalities of reduced rationals:
 
 ``verify_relation`` and ``verify_kronecker`` read class numbers from tables
 built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
-``bqf.hurwitz_table``).  ``verify_relation`` enumerates each form's lattice
-once for all n and reads a_n from one ``cohen_coefficients`` list;
+``bqf.hurwitz_table``).  ``verify_relation`` enumerates half of each form's
+lattice, Q(-v, -u) = Q(v, u), once for all n and reads a_n from one
+``cohen_coefficients`` list;
 ``verify_kronecker`` packs two columns of the 12H table into the theta kernel
 of the Cohen coefficients (``qseries._shifted_sum``), and adds its divisor
 sums as strided slices.
@@ -30,8 +31,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import count, repeat
-from operator import add
+from itertools import accumulate, count, repeat
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from .arith import TABLE_BOUND, InternalCheckError
@@ -224,40 +225,55 @@ def verification_row(form: EligibleForm, n: int) -> VerificationRow:
     )
 
 
-def _form_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,
-                 step: int) -> list[int]:
+def _lattice_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,
+                    step: int, half: bool) -> list[int]:
     # The values a*v*v + b*v*u + c*u*u <= bound of a positive definite form
-    # over the pairs with u = u_par and v = v_par mod step.
-    values = []
-    umax = math.isqrt(4 * a * bound // (4 * a * c - b * b))
-    for u in range(-umax + (u_par + umax) % step, umax + 1, step):
-        # v-window of a*v^2 + b*u*v + (c*u^2 - bound) <= 0, widened by one
-        # for the integer square root; the test on the value settles it
-        root = math.isqrt((b * b - 4 * a * c) * u * u + 4 * a * bound)
-        vmin = (-b * u - root) // (2 * a) - 1
-        for v in range(vmin + (v_par - vmin) % step, (-b * u + root) // (2 * a) + 2, step):
-            value = a * v * v + b * v * u + c * u * u
-            if value <= bound:
-                values.append(value)
+    # over the pairs with u = u_par and v = v_par mod step; if half, only over
+    # those with u > 0 or u = 0 < v, one of each pair (v, u), (-v, -u).
+    disc = 4 * a * c - b * b
+    umax = math.isqrt(4 * a * bound // disc)
+    ulow = 0 if half else -umax
+    values: list[int] = []
+    for u in range(ulow + (u_par - ulow) % step, umax + 1, step):
+        # the exact v-window: 4a*Q(v, u) = (2av + bu)**2 + disc*u*u
+        root = math.isqrt(4 * a * bound - disc * u * u)
+        vmin = 1 if half and u == 0 else -((b * u + root) // (2 * a))
+        vmin += (v_par - vmin) % step
+        width = ((root - b * u) // (2 * a) - vmin) // step
+        if width >= 0:
+            # the first differences along the row step by 2a*step**2
+            first, second = (2 * a * vmin + a * step + b * u) * step, 2 * a * step * step
+            values += accumulate(range(first, first + second * width, second),
+                                 initial=a * vmin * vmin + b * vmin * u + c * u * u)
     return values
 
 
 def _theta_class(form: EligibleForm, nmax: int, u_par: int,
                  v_par: int) -> tuple[list[int], list[int], list[int]]:
-    # One parity class of the form's lattice, enumerated up to 4*D0*nmax:
-    # every Q(v, u) sorted, the j with some Q(v, u) = 4j in increasing
-    # order, and the number of points with Q(v, u) = 4j for each of them.
+    # One parity class of the form's lattice up to Q(v, u) = 4*D0*nmax, by
+    # its half Q(-v, -u) = Q(v, u) without the origin: the values of the half
+    # sorted, the j with some Q(v, u) = 4j in increasing order, and the number
+    # of points with Q(v, u) = 4j for each of them.
     q = form.form
-    values = sorted(_form_values(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2))
-    multiplicity = sorted(Counter(value // 4 for value in values if value % 4 == 0).items())
+    half = sorted(_lattice_values(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2, True))
+    # Q(v, u) = 0 mod 4 on every class that verify reads: b = 2b' with
+    # ac = b'**2 + 4*D0, so c = 0 mod 4 where u alone is odd, a = 0 mod 4
+    # where v alone is odd, and a + b + c = 0 mod 4 where both are
+    multiplicity = Counter(half)
+    shifts = list(map(floordiv, multiplicity, repeat(4)))
+    counts = list(map(mul, multiplicity.values(), repeat(2)))
+    if (u_par, v_par) == (0, 0):
+        # the origin, its own image under (v, u) -> (-v, -u)
+        shifts.insert(0, 0)
+        counts.insert(0, 1)
     if form.kind == "four_times_primitive":
         # Q = 4Q' forces u and v even, so #{Q(v, u) = 4j} = #{Q'(x, y) = j/4},
         # counted here by a separate enumeration of all pairs against Q'.
         qq = form.character_form
-        quarter = Counter(_form_values(qq.a, qq.b, qq.c, form.d0 * nmax // 4, 0, 0, 1))
-        if multiplicity != sorted((4 * w, count) for w, count in quarter.items()):
+        quarter = Counter(_lattice_values(qq.a, qq.b, qq.c, form.d0 * nmax // 4, 0, 0, 1, False))
+        if list(zip(shifts, counts)) != sorted((4 * w, count) for w, count in quarter.items()):
             raise InternalCheckError(f"quarter-form multiplicities disagree for {form}")
-    return values, [j for j, _ in multiplicity], [count for _, count in multiplicity]
+    return half, shifts, counts
 
 
 def _oracle_check(forms: list[EligibleForm], row: VerificationRow) -> None:
@@ -314,7 +330,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
             parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
             if parity not in classes:
                 classes[parity] = _theta_class(form, nmax, *parity)
-            values, shifts, counts = classes[parity]
+            half, shifts, counts = classes[parity]
             x = d0 * n
             # table[0] is L times the volume term: the boundary points, and
             # the right-hand side a_n * table[0] / L
@@ -325,7 +341,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
             rows.append(VerificationRow(
                 d0=d0, form=form.form, D=form.D, N=form.N, n=n,
                 lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
-                term_count=bisect_right(values, 4 * x),
+                term_count=2 * bisect_right(half, 4 * x) + (parity == (0, 0)),
             ))
     mismatch = next((row for row in rows if not row.match), None)
     if mismatch is not None:

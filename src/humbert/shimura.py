@@ -164,7 +164,8 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
     (module docstring), and a nonzero c[k] is 6/e(k) h(-k) L/6 halved once
     per ramified q.  Each level copies one shared list of those values,
     zeros its split and conductor classes at q | D and inert classes at
-    q | N, adds the square-divisor sum in place and shifts by the 2-powers.
+    q | N, adds the square-divisor sum in place and doubles the multiples of
+    each q.
     """
     products = {level.product for level in levels}
     if len(products) != 1 or products == {1}:
@@ -180,10 +181,6 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
     for q in primes:
         for start, step in classes[q][0]:
             shared[start::step] = map(rshift, shared[start::step], repeat(1))
-    # #{q | D*N : q | m} as one byte per m, raised with one slice per q
-    shifts, increment = bytearray(x + 1), bytes(range(1, 256)) + b"\0"
-    for q in primes:
-        shifts[::q] = shifts[::q].translate(increment)
     # c[k] = 0 for k < 3, so only squares p**2 <= x/3 add anything
     spf = smallest_prime_factors(math.isqrt(x // 3))
     sieve_primes = [p for p in range(2, len(spf)) if spf[p] == p]
@@ -205,7 +202,10 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
                 table[square * low:square * high:square] = map(
                     add, table[square * low:square * high:square], table[low:high])
                 low, high = high, high * square
-        # the array replaces the list, which is freed before the next level
-        tables[level] = table = array("q", map(lshift, table, shifts))
+        # the factor 2**#{q | D*N : q | m} as one doubling slice per q; the
+        # array replaces the list, which is freed before the next level
+        for q in primes:
+            table[::q] = map(lshift, table[::q], repeat(1))
+        tables[level] = table = array("q", table)
         table[0] = int(denominator * volume_term(level))
     return tables

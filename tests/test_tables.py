@@ -1,11 +1,13 @@
 """Property tests: the per-run tables against the per-value code they replace
 on the verify and kronecker paths.  The per-value code stays in ``src/`` as
 the oracle, except the per-row Kronecker loop, the per-m level-table loop,
-the per-(a, b) form count and the per-x theta column slices, which live
-here."""
+the per-(a, b) form count, the per-point lattice enumeration and the per-x
+theta column slices, which live here."""
 
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import add
@@ -23,7 +25,13 @@ from humbert.arith import (
 )
 from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
-from humbert.relations import _theta_sum, verification_row, verify_kronecker, verify_relation
+from humbert.relations import (
+    _theta_class,
+    _theta_sum,
+    verification_row,
+    verify_kronecker,
+    verify_relation,
+)
 from humbert.shimura import (
     ShimuraLevel,
     level_tables,
@@ -79,6 +87,32 @@ def form_counts_oracle(x):
             start = step * (a if b >= 0 else a + 1) - b * b
             counts[start::step] = map(add, counts[start::step], itertools.repeat(1))
     return counts
+
+
+def form_values_oracle(a, b, c, bound, u_par, v_par, step):
+    # The values a*v*v + b*v*u + c*u*u <= bound of a positive definite form
+    # over the pairs with u = u_par and v = v_par mod step, point by point.
+    values = []
+    umax = math.isqrt(4 * a * bound // (4 * a * c - b * b))
+    for u in range(-umax + (u_par + umax) % step, umax + 1, step):
+        # v-window of a*v^2 + b*u*v + (c*u^2 - bound) <= 0, widened by one
+        # for the integer square root; the test on the value settles it
+        root = math.isqrt((b * b - 4 * a * c) * u * u + 4 * a * bound)
+        vmin = (-b * u - root) // (2 * a) - 1
+        for v in range(vmin + (v_par - vmin) % step, (-b * u + root) // (2 * a) + 2, step):
+            value = a * v * v + b * v * u + c * u * u
+            if value <= bound:
+                values.append(value)
+    return values
+
+
+def theta_class_oracle(form, nmax, u_par, v_par):
+    # _theta_class over the whole parity class, point by point: every
+    # Q(v, u) sorted, and the j with some Q(v, u) = 4j with their counts
+    q = form.form
+    values = sorted(form_values_oracle(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2))
+    multiplicity = sorted(Counter(value // 4 for value in values if value % 4 == 0).items())
+    return values, [j for j, _ in multiplicity], [count for _, count in multiplicity]
 
 
 def kronecker_theta_oracle(hurwitz12, nmax):
@@ -187,9 +221,25 @@ def test_form_count_table_matches_class_numbers(k):
     assert form_counts(3000)[k] == expected
 
 
-@pytest.mark.parametrize("x", [*range(61), 12000, 23100])
+# 100000 moves the byte plane into the 32-bit fields five times
+@pytest.mark.parametrize("x", [*range(61), 12000, 23100, 100000])
 def test_form_count_table_matches_oracle(x):
     assert list(form_count_table(x)) == form_counts_oracle(x)
+
+
+def test_form_count_fields_cannot_overflow_at_table_bound():
+    # A 32-bit field of the count holds a sum of increments of its k, so none
+    # can overflow while all increments together stay below 2**32: 6.2e7 at
+    # the bound, under x*isqrt(x/3)/2 = 1.0e8 (each a adds about x/2).
+    x = TABLE_BOUND
+    increments = 0
+    for a in range(1, math.isqrt(x // 3) + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            start = step * a - b * b
+            if start <= x:
+                increments += (1 if b in (0, a) else 2) * ((x - start) // step + 1)
+    assert increments <= x * math.isqrt(x // 3) // 2 < 2**32
 
 
 # the first odd and even columns, the squares 1, 4 and 9 where 12*H(0) is
@@ -263,6 +313,28 @@ def test_table_rows_match_lattice_sum(d0, n):
         # the per-row path, with the quarter-form sum for four-times-primitive forms
         oracle = verification_row(forms[row.form], n)
         assert (row.lhs, row.rhs, row.term_count) == (oracle.lhs, oracle.rhs, oracle.term_count)
+
+
+@pytest.mark.parametrize("d0,nmax", [*((d0, nmax) for d0 in LEVEL_D0 for nmax in (1, 4, 9, 20)),
+                                     (30030, 1), (30030, 5)])
+def test_theta_class_matches_oracle(d0, nmax):
+    # every parity class that verify reads, against the whole class point by
+    # point: the shifts and counts, and the term count of every row
+    rows = {(row.form, row.n): row for row in report(d0, nmax).rows}
+    for form in eligible_forms(d0):
+        if form.D == 1:
+            continue
+        a, c = form.form.a, form.form.c
+        for n in range(1, nmax + 1):
+            if n % 4 in (2, 3):
+                continue
+            parity = ((a * n) % 2, (c * n) % 2)
+            values, shifts, counts = theta_class_oracle(form, nmax, *parity)
+            assert _theta_class(form, nmax, *parity)[1:] == (shifts, counts)
+            assert rows[form.form, n].term_count == bisect_right(values, 4 * d0 * n)
+            if parity == (0, 0):
+                # the origin, alone in its class under (v, u) -> (-v, -u)
+                assert (shifts[0], counts[0] % 2) == (0, 1)
 
 
 def test_four_times_primitive_rows_are_covered():
