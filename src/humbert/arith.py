@@ -19,12 +19,12 @@ FACTOR_BOUND = 10**12
 CLASS_NUMBER_BOUND = 10**9
 
 # Largest X for the per-run tables of verify (X = D0*nmax) and kronecker
-# (X = 4*nmax).  On the same machine the class-number table takes 0.28 s at
-# X = 10**5, 0.86 s at 2*10**5 and 4.5 s and 33 MiB at 5*10**5 (it grows as
-# X**1.5), and each level table costs 8*X bytes.  Near the bound, verify
-# 1155 --nmax 432 (7 levels) took 8.6 s and 64 MiB, verify 30030 --nmax 16
-# (31 levels) 7.5 s and 150 MiB, and kronecker --nmax 125000 3.6-3.9 s and
-# 70 MiB.
+# (X = 4*nmax).  On the same machine the class-number table takes 0.04 s at
+# X = 10**5, 0.10 s at 2*10**5 and 0.23 s at 5*10**5 (process peak 33 MiB),
+# and verify holds two level tables of 8*X bytes at a time, whatever the
+# number of levels.  Near the bound, verify 1155 --nmax 432 (7 levels) took
+# 2.6-3.1 s and 38 MiB, verify 30030 --nmax 16 (31 levels) 1.4-2.1 s and
+# 35 MiB, and kronecker --nmax 125000 2.0 s and 66 MiB.
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On

@@ -11,9 +11,11 @@ Two identities are verified, both as equalities of reduced rationals:
   volume term, with a_n the Cohen-series coefficients.
 
 ``verify_relation`` and ``verify_kronecker`` read class numbers from tables
-built once per call (``bqf.class_number_table`` and ``shimura.level_tables``,
-``bqf.hurwitz_table``).  ``verify_relation`` enumerates half of each form's
-lattice, Q(-v, -u) = Q(v, u), once for all n and reads a_n from one
+built once per call (``bqf.class_number_table`` and ``bqf.hurwitz_table``).
+``verify_relation`` reads one table of each level at a time
+(``shimura.level_tables``), enumerates half of each form's lattice,
+Q(-v, -u) = Q(v, u), once for all n, folds the 2-power that the level
+tables leave out into the lattice counts, and reads a_n from one
 ``cohen_coefficients`` list;
 ``verify_kronecker`` packs two columns of the 12H table into the theta kernel
 of the Cohen coefficients (``qseries._shifted_sum``), and adds its divisor
@@ -32,10 +34,10 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from operator import add, floordiv, mul
+from operator import add, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
-from .arith import TABLE_BOUND, InternalCheckError
+from .arith import TABLE_BOUND, InternalCheckError, prime_divisors
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import _shifted_sum, cohen_coefficients
@@ -297,7 +299,10 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     Row n of a form is the coefficient sum over j of T[j]*H_{D,N}(D0*n - j),
     with T[j] the number of lattice points of the row's parity class with
     Q(v, u) = 4j; T depends on n only through that class, so each form's
-    lattice is enumerated at most twice.  Rejects D0*nmax > arith.TABLE_BOUND
+    lattice is enumerated at most twice.  The level tables lack the factor
+    2**#{q | D0 : q | m} at m = D0*n - j, which equals 2**#{q | D0 : q | j},
+    so each T[j] is multiplied by it once.  The forms are summed level by
+    level, one table held at a time.  Rejects D0*nmax > arith.TABLE_BOUND
     before any work.
     """
     if nmax < 1:
@@ -308,41 +313,52 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     if only_form is not None:
         canon = gl2_canonical(only_form)
         forms = [f for f in forms if f.form == canon]
-    levels = list(dict.fromkeys(ShimuraLevel(f.D, f.N) for f in forms if f.D > 1))
-    class_numbers = class_number_table(d0 * nmax if levels else 0)
-    tables = level_tables(levels, class_numbers) if levels else {}
-    cohen = cohen_coefficients(nmax) if levels else []
-    denominator = table_denominator(d0)
-    rows: list[VerificationRow] = []
-    skipped: list[SkippedForm] = []
+    by_level: dict[ShimuraLevel, list[EligibleForm]] = {}
     for form in forms:
-        if form.D == 1:
-            skipped.append(SkippedForm(
-                d0=d0, form=form.form, D=form.D, N=form.N,
-                reason="relation proved only for D > 1 (modular curve needs cusp terms)",
-            ))
-            continue
-        table = tables[ShimuraLevel(form.D, form.N)]
-        classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
-        for n in range(1, nmax + 1):
-            if n % 4 in (2, 3):
-                continue
-            parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
-            if parity not in classes:
-                classes[parity] = _theta_class(form, nmax, *parity)
-            half, shifts, counts = classes[parity]
-            x = d0 * n
-            # table[0] is L times the volume term: the boundary points, and
-            # the right-hand side a_n * table[0] / L
-            numerator = sum(counts[i] * table[x - shifts[i]]
-                            for i in range(bisect_right(shifts, x)))
-            lhs = Fraction(numerator, denominator)
-            rhs = Fraction(cohen[n] * table[0], denominator)
-            rows.append(VerificationRow(
-                d0=d0, form=form.form, D=form.D, N=form.N, n=n,
-                lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
-                term_count=2 * bisect_right(half, 4 * x) + (parity == (0, 0)),
-            ))
+        if form.D > 1:
+            by_level.setdefault(ShimuraLevel(form.D, form.N), []).append(form)
+    class_numbers = class_number_table(d0 * nmax if by_level else 0)
+    tables = level_tables(list(by_level), class_numbers) if by_level else ()
+    cohen = cohen_coefficients(nmax) if by_level else []
+    denominator = table_denominator(d0)
+    # power[r] = #{q | D0 : q | r}: the table at m = D0*n - j lacks the factor
+    # 2**#{q | D0 : q | m}, and q | m exactly when q | j
+    power = [0] * d0
+    for q in prime_divisors(d0):
+        power[::q] = map(add, power[::q], repeat(1))
+    form_rows: dict[BQF, list[VerificationRow]] = {}
+    for level, table in tables:
+        # L times the volume term, for the right-hand side a_n * volume / L
+        volume = int(denominator * volume_term(level))
+        for form in by_level[level]:
+            rows = form_rows[form.form] = []
+            classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+            for n in range(1, nmax + 1):
+                if n % 4 in (2, 3):
+                    continue
+                parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
+                if parity not in classes:
+                    half, shifts, counts = _theta_class(form, nmax, *parity)
+                    counts = list(map(lshift, counts, map(power.__getitem__,
+                                                          map(mod, shifts, repeat(d0)))))
+                    classes[parity] = half, shifts, counts
+                half, shifts, counts = classes[parity]
+                x = d0 * n
+                # the boundary points j = x read table[0], 6 times the volume
+                # term, with the weight 2**omega(D0): L times the volume term
+                numerator = sum(counts[i] * table[x - shifts[i]]
+                                for i in range(bisect_right(shifts, x)))
+                lhs = Fraction(numerator, denominator)
+                rhs = Fraction(cohen[n] * volume, denominator)
+                rows.append(VerificationRow(
+                    d0=d0, form=form.form, D=form.D, N=form.N, n=n,
+                    lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
+                    term_count=2 * bisect_right(half, 4 * x) + (parity == (0, 0)),
+                ))
+    rows = [row for form in forms if form.D > 1 for row in form_rows[form.form]]
+    skipped = [SkippedForm(d0=d0, form=form.form, D=form.D, N=form.N,
+                           reason="relation proved only for D > 1 (modular curve needs cusp terms)")
+               for form in forms if form.D == 1]
     mismatch = next((row for row in rows if not row.match), None)
     if mismatch is not None:
         _oracle_check(forms, mismatch)

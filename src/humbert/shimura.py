@@ -7,7 +7,8 @@ The weighted sum over orders between d and its fundamental part, normalized
 by a 2-power and the unit weights, is the class-number function evaluated by
 ``weighted_class_number``; its value at 0 is minus half the curve volume.
 ``weighted_class_number`` keeps no state; ``level_tables`` tabulates the
-same function for all levels of one D*N, once per run.
+same function, without its 2-power, for the levels of one D*N, one level at
+a time.
 
 The tables rest on one identity.  With P = D*N, omega = omega(P) and
 L = 6*2**omega, L*H_{D,N}(m) = 2**#{q | P : q | m} * sum over s**2 | m of
@@ -26,11 +27,12 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import repeat
-from operator import add, lshift, rshift
-from typing import NamedTuple
+from operator import add, rshift
+from typing import Iterator, NamedTuple
 
 from . import bqf
 from .arith import (
+    InternalCheckError,
     divisors,
     fundamental_decomposition,
     is_discriminant,
@@ -155,17 +157,22 @@ def _residue_classes(q: int) -> tuple[list[tuple[int, int]], ...]:
             [(a, q) for a in range(1, q) if symbols[a] == -1])
 
 
-def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[ShimuraLevel, array]:
-    """For levels sharing one D*N > 1, the integers L*H_{D,N}(m) for
-    0 <= m <= x, with L = table_denominator(D*N) and class_numbers =
-    bqf.class_number_table(x).
+def level_tables(levels: list[ShimuraLevel],
+                 class_numbers: array) -> Iterator[tuple[ShimuraLevel, array]]:
+    """For levels sharing one D*N > 1, yields (level, table) one level at a
+    time, with table[m] = L*H_{D,N}(m) / 2**#{q | D*N : q | m} for
+    0 <= m <= x, L = table_denominator(D*N) and class_numbers =
+    bqf.class_number_table(x).  The levels are checked at the call.
 
-    L*H_{D,N}(m) = 2**#{q | D*N : q | m} * sum over s**2 | m of c[m/s**2]
+    Without its 2-power, L*H_{D,N}(m) is the sum over s**2 | m of c[m/s**2]
     (module docstring), and a nonzero c[k] is 6/e(k) h(-k) L/6 halved once
-    per ramified q.  Each level copies one shared list of those values,
-    zeros its split and conductor classes at q | D and inert classes at
-    q | N, adds the square-divisor sum in place and doubles the multiples of
-    each q.
+    per ramified q.  table[0] is the volume term times L/2**omega = 6, an
+    integer when D*N has an odd prime p (p - 1 or p + 1 is even); otherwise
+    the tables raise ``InternalCheckError``.  The values are built once as
+    one shared array; each level copies it, zeros its split and conductor
+    classes at q | D and inert classes at q | N, and adds the square-divisor
+    sum in place.  The caller applies the 2-power: at the arguments
+    m = D*N*n - j that verify reads, q | m exactly when q | j.
     """
     products = {level.product for level in levels}
     if len(products) != 1 or products == {1}:
@@ -181,31 +188,34 @@ def level_tables(levels: list[ShimuraLevel], class_numbers: array) -> dict[Shimu
     for q in primes:
         for start, step in classes[q][0]:
             shared[start::step] = map(rshift, shared[start::step], repeat(1))
+    shared = array("q", shared)
     # c[k] = 0 for k < 3, so only squares p**2 <= x/3 add anything
     spf = smallest_prime_factors(math.isqrt(x // 3))
     sieve_primes = [p for p in range(2, len(spf)) if spf[p] == p]
-    tables = {}
-    for level in levels:
-        table = shared[:]
-        for q in primes:
-            _, d_zero, n_zero = classes[q]
-            for start, step in d_zero if level.D % q == 0 else n_zero:
-                table[start::step] = [0] * len(range(start, x + 1, step))
-        # the sum over s**2 | m in place, one prime p at a time: with S = p**2,
-        # table[S*j] += table[j] for ascending j, in blocks [S**e, S**(e+1));
-        # a block reads only what the block before it wrote
-        for p in sieve_primes:
-            square = p * p
-            low, high = 0, square
-            while low <= x // square:
-                high = min(high, x // square + 1)
-                table[square * low:square * high:square] = map(
-                    add, table[square * low:square * high:square], table[low:high])
-                low, high = high, high * square
-        # the factor 2**#{q | D*N : q | m} as one doubling slice per q; the
-        # array replaces the list, which is freed before the next level
-        for q in primes:
-            table[::q] = map(lshift, table[::q], repeat(1))
-        tables[level] = table = array("q", table)
-        table[0] = int(denominator * volume_term(level))
-    return tables
+
+    def tables() -> Iterator[tuple[ShimuraLevel, array]]:
+        for i, level in enumerate(levels, 1):
+            # the last level takes the shared array itself
+            table = shared[:] if i < len(levels) else shared
+            for q in primes:
+                _, d_zero, n_zero = classes[q]
+                for start, step in d_zero if level.D % q == 0 else n_zero:
+                    table[start::step] = array("q", [0]) * len(range(start, x + 1, step))
+            # the sum over s**2 | m in place, one prime p at a time: with
+            # S = p**2, table[S*j] += table[j] for ascending j, in blocks
+            # [S**e, S**(e+1)); a block reads only what the block before it wrote
+            for p in sieve_primes:
+                square = p * p
+                low, high = 0, square
+                while low <= x // square:
+                    high = min(high, x // square + 1)
+                    table[square * low:square * high:square] = array("q", map(
+                        add, table[square * low:square * high:square], table[low:high]))
+                    low, high = high, high * square
+            volume = 6 * volume_term(level)
+            if volume.denominator != 1:
+                raise InternalCheckError(f"6 times the volume term of {level} is not an integer")
+            table[0] = volume.numerator
+            yield level, table
+
+    return tables()

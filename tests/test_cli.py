@@ -10,6 +10,7 @@ import pytest
 
 from humbert import bqf, relations
 from humbert.cli import fmt_rat, main
+from humbert.shimura import ShimuraLevel
 
 
 def run(capsys, *argv):
@@ -127,15 +128,19 @@ def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     real = relations.level_tables
 
+    seen = []
+
     def tampered(levels, class_numbers):
-        tables = real(levels, class_numbers)
-        for table in tables.values():
+        # every table level_tables yields, as verify reads it
+        for level, table in real(levels, class_numbers):
             for m in range(1, len(table)):
                 table[m] += 1
-        return tables
+            seen.append(level)
+            yield level, table
 
     monkeypatch.setattr(relations, "level_tables", tampered)
     code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    assert seen == [ShimuraLevel(10, 1)]
     assert (code, out) == (3, "")
     assert "error: internal check failed: table row disagrees with the lattice sum" in err
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from humbert.arith import (
     TABLE_BOUND,
     InternalCheckError,
+    fundamental_decomposition,
     kronecker,
     prime_divisors,
     sigma,
@@ -42,6 +43,9 @@ from humbert.shimura import (
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
 LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)
+# (1, 2), the only level of D0 = 2, has 6 times its volume term -3/2, which a
+# table without the 2-power cannot hold
+TABLE_D0 = LEVEL_D0[1:]
 ROW_D0 = (6, 10, 14, 15, 21, 26, 30, 33, 35, 39)
 
 
@@ -197,9 +201,26 @@ def d0_levels(d0):
             for k in range(0, len(primes) + 1, 2) for ds in itertools.combinations(primes, k)]
 
 
+def doubled(level, table):
+    # the factor 2**#{q | D*N : q | m} that level_tables leaves to the rows,
+    # put back entry by entry; m = 0 gets 2**omega
+    primes = prime_divisors(level.product)
+    return [value << sum(m % q == 0 for q in primes) for m, value in enumerate(table)]
+
+
+@cache
+def folded_level_tables(d0):
+    return dict(level_tables(d0_levels(d0), h_table(20 * d0)))
+
+
 @cache
 def all_level_tables(d0):
-    return level_tables(d0_levels(d0), h_table(20 * d0))
+    return {level: doubled(level, table) for level, table in folded_level_tables(d0).items()}
+
+
+@cache
+def oracle_level_tables(d0):
+    return level_tables_oracle(d0_levels(d0), h_table(20 * d0))
 
 
 @cache
@@ -271,6 +292,47 @@ def test_theta_sum_rejects_entries_a_field_cannot_hold():
     assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
 
 
+def times_theta(column, nmax):
+    # the series column times theta = sum over x of q**(x*x), up to q**nmax
+    product = [0] * (nmax + 1)
+    for x in range(-math.isqrt(nmax), math.isqrt(nmax) + 1):
+        product[x * x:] = map(add, product[x * x:], column[:nmax + 1 - x * x])
+    return product
+
+
+def test_hurwitz_table_matches_three_squares():
+    # Gauss: r3(n) = 12*H(4n) - 24*H(n) for n >= 1, with r3(n) the number of
+    # (x, y, z) with x**2 + y**2 + z**2 = n, the coefficients of theta**3
+    nmax = 20000
+    theta = [0] * (nmax + 1)
+    for x in range(-math.isqrt(nmax), math.isqrt(nmax) + 1):
+        theta[x * x] += 1
+    r3 = times_theta(times_theta(theta, nmax), nmax)
+    table = h12_table(4 * nmax)
+    assert [table[4 * n] - 2 * table[n] for n in range(1, nmax + 1)] == r3[1:]
+
+
+def test_class_number_table_matches_conductor_formula():
+    # Cox, Primes of the Form x**2 + ny**2, Theorem 7.24: with d fundamental,
+    # h(f**2 d) = h(d) f / [O_K* : O*] * prod over p | f of (1 - (d|p)/p),
+    # at every non-fundamental discriminant down to -21000
+    x = 21000
+    h = h_table(x)
+    checked = 0
+    for k in range(3, x + 1):
+        if k % 4 in (1, 2):
+            continue
+        d, f = fundamental_decomposition(-k)
+        if f == 1:
+            continue
+        expected = Fraction(h[-d] * f, 3 if d == -3 else 2 if d == -4 else 1)
+        for p in prime_divisors(f):
+            expected *= 1 - Fraction(kronecker(d, p), p)
+        assert h[k] == expected, k
+        checked += 1
+    assert checked == 4121
+
+
 def test_h_table_bounds():
     assert list(class_number_table(0)) == [0]
     with pytest.raises(ValueError, match="too large"):
@@ -278,27 +340,50 @@ def test_h_table_bounds():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(LEVEL_D0), st.integers(0, 20 * max(LEVEL_D0)))
+@given(st.sampled_from(TABLE_D0), st.integers(0, 20 * max(TABLE_D0)))
 def test_level_tables_match_weighted_class_number(d0, m):
     m %= 20 * d0 + 1
     for level, table in all_level_tables(d0).items():
         assert Fraction(table[m], table_denominator(d0)) == weighted_class_number(level, m)
 
 
-@pytest.mark.parametrize("d0,x", [*((d0, 20 * d0) for d0 in LEVEL_D0), (30030, 30030),
+@pytest.mark.parametrize("d0,x", [*((d0, 20 * d0) for d0 in TABLE_D0), (30030, 30030),
                                   *((d0, x) for d0 in (6, 30, 1155, 30030) for x in range(21))])
 def test_level_tables_match_oracle(d0, x):
     # every entry of every level, against the per-m loop; x < 3, x < 4 and x
     # below the periods 16 and 169 of the residue classes are covered
     levels = d0_levels(d0)
-    got = level_tables(levels, h_table(x))
-    expected = level_tables_oracle(levels, h_table(x))
-    assert {level: list(table) for level, table in got.items()} == expected
+    got = {level: doubled(level, table) for level, table in level_tables(levels, h_table(x))}
+    assert got == level_tables_oracle(levels, h_table(x))
 
 
 def test_level_tables_reject_mixed_levels():
+    # at the call, before any table is asked for
     with pytest.raises(ValueError, match="common D\\*N"):
         level_tables([ShimuraLevel(6, 1), ShimuraLevel(10, 1)], h_table(60))
+
+
+def test_level_tables_refuse_inexact_volume_term():
+    # a silent shift would put -2 in place of 6 times the volume term -3/2
+    with pytest.raises(InternalCheckError, match="volume term"):
+        next(level_tables([ShimuraLevel(1, 2)], h_table(40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLE_D0), st.integers(1, 20), st.booleans(), st.data())
+def test_folded_rows_match_doubled_tables(d0, n, boundary, data):
+    # a row as verify sums it: each count T[j] times 2**#{q | D0 : q | j}
+    # against the tables without the 2-power, against the plain sum of
+    # T[j]*H(D0*n - j) over the per-m tables; j = x reads the volume term
+    x = d0 * n
+    primes = prime_divisors(d0)
+    terms = data.draw(st.dictionaries(st.integers(0, x), st.integers(1, 50), max_size=12))
+    if boundary:
+        terms[x] = data.draw(st.integers(1, 50))
+    for level, table in folded_level_tables(d0).items():
+        folded = sum((t << sum(j % q == 0 for q in primes)) * table[x - j] for j, t in terms.items())
+        expected = oracle_level_tables(d0)[level]
+        assert folded == sum(t * expected[x - j] for j, t in terms.items())
 
 
 @settings(max_examples=60, deadline=None)
