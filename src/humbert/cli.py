@@ -175,6 +175,15 @@ def cmd_forms(args) -> int:
     return 0
 
 
+def rational(text: str) -> Fraction:
+    # argparse turns ValueError and TypeError into a usage error (exit 2),
+    # but Fraction("1/0") raises ZeroDivisionError
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def cmd_hdn(args) -> int:
     level = ShimuraLevel(args.D, args.N)
     value = fmt_rat(weighted_class_number(level, args.m))
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hdn", help="weighted class number of a Shimura level at m")
     p.add_argument("D", type=int)
     p.add_argument("N", type=int)
-    p.add_argument("m", type=Fraction)
+    p.add_argument("m", type=rational)
     add_format(p)
     p.set_defaults(func=cmd_hdn)
 

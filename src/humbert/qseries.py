@@ -8,10 +8,10 @@ outside world insist on an integer lead.
 
 The Cohen coefficients a_n are not built from these series:
 ``cohen_coefficients`` takes them from a divisor sieve and a packed theta
-sum (``_shifted_sum``, shared with ``relations``), and the q-series product
-theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in the tests as its
-oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with ValueError before
-any work (exit 2 from the CLI).
+sum of signed entries (``_shifted_sum``, shared with ``relations``), and
+the q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in
+the tests as its oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with
+ValueError before any work (exit 2 from the CLI).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import count
 from typing import NamedTuple
 
 from .arith import COHEN_BOUND, InternalCheckError
@@ -200,23 +200,30 @@ def eta_power(scale_factor: int, exponent: int, prec: int) -> QSeries:
 
 def _shifted_sum(terms: list[tuple[list[int] | array, list[int]]], length: int) -> array:
     """Entry n < length of the sum over (column, shifts) in ``terms`` and s in
-    shifts of column[n - s], by Kronecker substitution: each column is one int
-    of 64-bit little-endian fields, and each shift one big-int add.  Raises
-    InternalCheckError unless every entry is >= 0 and the largest entry times
-    the number of shifts is below 2**63, so that no field borrows or carries.
+    shifts of column[n - s], by Kronecker substitution: each column is the int
+    sum of column[i] * 2**(64*i), read as offset binary, and each shift one
+    big-int add.  Signed entries are exact; raises InternalCheckError unless
+    the largest |entry| times the number of shifts is below 2**63.
     """
     terms_count = sum(len(shifts) for _, shifts in terms)
-    if any(min(column, default=0) < 0 or max(column, default=0) * terms_count >= 1 << 63
+    if any(max(max(column, default=0), -min(column, default=0)) * terms_count >= 1 << 63
            for column, _ in terms):
         raise InternalCheckError(f"a sum of {terms_count} shifted columns does not fit 64-bit fields")
+    # XOR with 2**63 in every 64-bit field turns two's complement fields into
+    # offset binary and back
+    sign_bit = b"\0\0\0\0\0\0\0\x80"
     total = 0
     for column, shifts in terms:
         packed = array("q", column)
         if sys.byteorder == "big":
             packed.byteswap()
-        value = int.from_bytes(packed, "little")
+        offset = int.from_bytes(sign_bit * len(packed), "little")
+        value = (int.from_bytes(packed, "little") ^ offset) - offset
+        del packed, offset  # freed before the shifted copies are made
         total += sum(value << 64 * shift for shift in shifts)
-    out = array("q", (total & ((1 << 64 * length) - 1)).to_bytes(8 * length, "little"))
+    # masked before the offset is added: the total runs past length fields
+    mask, offset = (1 << 64 * length) - 1, int.from_bytes(sign_bit * length, "little")
+    out = array("q", ((((total & mask) + offset) ^ offset) & mask).to_bytes(8 * length, "little"))
     if sys.byteorder == "big":
         out.byteswap()
     return out
@@ -231,30 +238,26 @@ def cohen_coefficients(nmax: int) -> list[int]:
     eta(4z)**8/eta(2z)**4 = sum over odd m of sigma(m) q**m, the series is
     theta * g for g(m) = r_4(m) - 20*sigma(m)*[m odd], g(0) = 1: sigma from
     one sieve over the divisor pairs d*e = m with d <= e, then
-    a_n = g(n) + 2 * sum over x >= 1 of g(n - x**2) as one packed shifted sum.
+    a_n = g(n) + 2 * sum over x >= 1 of g(n - x**2), one signed shifted sum.
     Rejects nmax > arith.COHEN_BOUND before any work.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if nmax > COHEN_BOUND:
         raise ValueError(f"input too large: nmax = {nmax} exceeds the Cohen bound {COHEN_BOUND}")
-    c = [0] * (nmax + 1)
+    g = [0] * (nmax + 1)
     root = math.isqrt(nmax)
     for d in range(1, root + 1):
         square = d * d
-        c[square] += d
-        c[square + d::d] = map(operator.add, c[square + d::d], count(2 * d + 1))
-    # c holds sigma, then c = g + bias in place, bias = -min(g) >= 0: g(m) is
-    # -12*sigma(m) at odd m, 8*sigma(m) at m = 2 mod 4 and
-    # 8*sigma(m) - 32*sigma(m/4) at m = 0 mod 4, done first as it reads sigma.
-    bias = 12 * max(c[1::2], default=0)
-    c[4::4] = map(operator.sub, [8 * s + bias for s in c[4::4]], [32 * s for s in c[1:nmax // 4 + 1]])
-    c[2::4] = [8 * s + bias for s in c[2::4]]
-    c[1::2] = [bias - 12 * s for s in c[1::2]]
-    c[0] = 1 + bias
-    # a_n = c(n) + 2*S(n) - bias*(2*isqrt(n) + 1), S(n) the sum of c(n - x*x)
-    # over x >= 1.  Largest shift first: later big ints reuse its memory (in
-    # ascending order nmax = 2*10**5 took 475k page faults, 1 s of system time).
-    shifted = _shifted_sum([(c, [x * x for x in range(root, 0, -1)])], nmax + 1)
-    excess = chain.from_iterable(repeat(bias * (2 * x + 1), 2 * x + 1) for x in count())
-    return list(map(operator.sub, map(operator.add, c, map(operator.add, shifted, shifted)), excess))
+        g[square] += d
+        g[square + d::d] = map(operator.add, g[square + d::d], count(2 * d + 1))
+    # sigma, then g in place: -12*sigma(m) at odd m, 8*sigma(m) at m = 2 mod 4
+    # and 8*sigma(m) - 32*sigma(m/4) at m = 0 mod 4, done first as it reads sigma
+    g[4::4] = [8 * s - 32 * t for s, t in zip(g[4::4], g[1:nmax // 4 + 1])]
+    g[2::4] = [8 * s for s in g[2::4]]
+    g[1::2] = [-12 * s for s in g[1::2]]
+    g[0] = 1
+    # Largest shift first: later big ints reuse its memory (in ascending order
+    # nmax = 2*10**5 took 475k page faults, 1 s of system time).
+    shifted = _shifted_sum([(g, [x * x for x in range(root, 0, -1)])], nmax + 1)
+    return list(map(operator.add, g, map(operator.add, shifted, shifted)))

@@ -17,9 +17,9 @@ built once per call (``bqf.class_number_table`` and ``bqf.hurwitz_table``).
 Q(-v, -u) = Q(v, u), once for all n, folds the 2-power that the level
 tables leave out into the lattice counts, and reads a_n from one
 ``cohen_coefficients`` list;
-``verify_kronecker`` packs two columns of the 12H table into the theta kernel
-of the Cohen coefficients (``qseries._shifted_sum``), and adds its divisor
-sums as strided slices.
+``verify_kronecker`` packs two columns of the 12H table, 12*H(0) = -1
+included, into the signed theta kernel of the Cohen coefficients
+(``qseries._shifted_sum``), and adds its divisor sums as strided slices.
 ``lattice_sum`` and ``verification_row`` evaluate one row point by point and
 keep no state; they are the oracle the tables are checked against, and the
 tables, built per run, are the only reuse.  A failed cross-check raises
@@ -251,19 +251,19 @@ def _lattice_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,
 
 
 def _theta_class(form: EligibleForm, nmax: int, u_par: int,
-                 v_par: int) -> tuple[list[int], list[int], list[int]]:
+                 v_par: int) -> tuple[list[int], list[int]]:
     # One parity class of the form's lattice up to Q(v, u) = 4*D0*nmax, by
-    # its half Q(-v, -u) = Q(v, u) without the origin: the values of the half
-    # sorted, the j with some Q(v, u) = 4j in increasing order, and the number
-    # of points with Q(v, u) = 4j for each of them.
+    # its half Q(-v, -u) = Q(v, u) without the origin: the j with some
+    # Q(v, u) = 4j in increasing order, and the number of points with
+    # Q(v, u) = 4j for each of them.
     q = form.form
-    half = sorted(_lattice_values(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2, True))
+    multiplicity = Counter(_lattice_values(q.a, q.b, q.c, 4 * form.d0 * nmax, u_par, v_par, 2, True))
+    values = sorted(multiplicity)
     # Q(v, u) = 0 mod 4 on every class that verify reads: b = 2b' with
     # ac = b'**2 + 4*D0, so c = 0 mod 4 where u alone is odd, a = 0 mod 4
     # where v alone is odd, and a + b + c = 0 mod 4 where both are
-    multiplicity = Counter(half)
-    shifts = list(map(floordiv, multiplicity, repeat(4)))
-    counts = list(map(mul, multiplicity.values(), repeat(2)))
+    shifts = list(map(floordiv, values, repeat(4)))
+    counts = list(map(mul, map(multiplicity.__getitem__, values), repeat(2)))
     if (u_par, v_par) == (0, 0):
         # the origin, its own image under (v, u) -> (-v, -u)
         shifts.insert(0, 0)
@@ -275,7 +275,7 @@ def _theta_class(form: EligibleForm, nmax: int, u_par: int,
         quarter = Counter(_lattice_values(qq.a, qq.b, qq.c, form.d0 * nmax // 4, 0, 0, 1, False))
         if list(zip(shifts, counts)) != sorted((4 * w, count) for w, count in quarter.items()):
             raise InternalCheckError(f"quarter-form multiplicities disagree for {form}")
-    return half, shifts, counts
+    return shifts, counts
 
 
 def _oracle_check(forms: list[EligibleForm], row: VerificationRow) -> None:
@@ -313,6 +313,9 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     if only_form is not None:
         canon = gl2_canonical(only_form)
         forms = [f for f in forms if f.form == canon]
+        if not forms:
+            raise ValueError(f"form ({only_form.a},{only_form.b},{only_form.c}) is not an "
+                             f"eligible form of D0 = {d0}")
     by_level: dict[ShimuraLevel, list[EligibleForm]] = {}
     for form in forms:
         if form.D > 1:
@@ -332,28 +335,31 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
         volume = int(denominator * volume_term(level))
         for form in by_level[level]:
             rows = form_rows[form.form] = []
+            # per parity class: the shifts j, the folded counts, and points[i],
+            # the number of lattice points with j < shifts[i] (the term count)
             classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
             for n in range(1, nmax + 1):
                 if n % 4 in (2, 3):
                     continue
                 parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
                 if parity not in classes:
-                    half, shifts, counts = _theta_class(form, nmax, *parity)
+                    shifts, counts = _theta_class(form, nmax, *parity)
+                    points = list(accumulate(counts, initial=0))
                     counts = list(map(lshift, counts, map(power.__getitem__,
                                                           map(mod, shifts, repeat(d0)))))
-                    classes[parity] = half, shifts, counts
-                half, shifts, counts = classes[parity]
+                    classes[parity] = shifts, counts, points
+                shifts, counts, points = classes[parity]
                 x = d0 * n
+                k = bisect_right(shifts, x)
                 # the boundary points j = x read table[0], 6 times the volume
                 # term, with the weight 2**omega(D0): L times the volume term
-                numerator = sum(counts[i] * table[x - shifts[i]]
-                                for i in range(bisect_right(shifts, x)))
+                numerator = sum(counts[i] * table[x - shifts[i]] for i in range(k))
                 lhs = Fraction(numerator, denominator)
                 rhs = Fraction(cohen[n] * volume, denominator)
                 rows.append(VerificationRow(
                     d0=d0, form=form.form, D=form.D, N=form.N, n=n,
                     lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
-                    term_count=2 * bisect_right(half, 4 * x) + (parity == (0, 0)),
+                    term_count=points[k],
                 ))
     rows = [row for form in forms if form.D > 1 for row in form_rows[form.form]]
     skipped = [SkippedForm(d0=d0, form=form.form, D=form.D, N=form.N,
@@ -370,16 +376,10 @@ def _theta_sum(hurwitz12: array, nmax: int) -> array:
     # theta[n] = sum over x >= 1 of 12*H(4n - x**2) for 0 <= n <= nmax (see
     # verify_kronecker).  4n - x**2 is 4m for even x = 2y and 4m + 3 for odd
     # x = 2y + 1, with n - m = y*y and y*y + y + 1.
-    even, odd = hurwitz12[0::4], hurwitz12[3::4]
-    # 12*H(0) = -1 would borrow from the next field; it is put back below
-    even[0] = 0
     xmax = math.isqrt(4 * nmax)
-    theta = _shifted_sum([(even, [y * y for y in range(1, xmax // 2 + 1)]),
-                          (odd, [y * y + y + 1 for y in range((xmax + 1) // 2)])], nmax + 1)
-    # the terms 12*H(0) of x = 2y
-    for y in range(1, math.isqrt(nmax) + 1):
-        theta[y * y] -= 1
-    return theta
+    return _shifted_sum([(hurwitz12[0::4], [y * y for y in range(1, xmax // 2 + 1)]),
+                         (hurwitz12[3::4], [y * y + y + 1 for y in range((xmax + 1) // 2)])],
+                        nmax + 1)
 
 
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:

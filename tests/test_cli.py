@@ -69,6 +69,22 @@ def test_hdn_command(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("m,message", [("1/0", "zero denominator in '1/0'"),
+                                       ("0/0", "zero denominator in '0/0'"),
+                                       ("abc", "invalid rational value: 'abc'"),
+                                       ("1/2/3", "invalid rational value: '1/2/3'")])
+def test_hdn_bad_m_is_a_usage_error(capsys, m, message):
+    # a zero denominator exits 2 like any other m that is not a rational,
+    # with argparse's usage line and one error line, and no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["hdn", "6", "1", m])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: humbert hdn")
+    assert error == f"humbert hdn: error: argument m: {message}"
+
+
 def test_forms_output(capsys):
     code, out, _ = run(capsys, "forms", "--d0", "10")
     assert code == 0
@@ -271,6 +287,12 @@ def test_bad_flags_exit_2(capsys):
         code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", nmax)
         assert (code, out) == (2, "")
         assert "nmax must be >= 1" in err
+    # a --form that is not an eligible form of D0 (discriminants -4 and -16,
+    # not -16*10) matches no row; it is an error, not "all_match=True rows=0"
+    for form in ("1,0,1", "2,0,2"):
+        code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--form", form)
+        assert (code, out) == (2, "")
+        assert err == f"error: form ({form}) is not an eligible form of D0 = 10\n"
     # D0 = 0 is an input like any other, not "no --d0 given"
     for command in ("forms", "selfcheck"):
         code, out, err = run(capsys, command, "--d0", "0")

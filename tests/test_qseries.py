@@ -236,10 +236,10 @@ def test_cohen_coefficients_match_slices_oracle(nmax):
     assert cohen_coefficients(nmax) == cohen_slices_oracle(nmax)
 
 
-# at most 3 columns of 6 shifts: entries below 2**63 // 18 fill the fields
-# without carrying out of them
+# at most 3 columns of 6 shifts: entries of absolute value below 2**63 // 18
+# fill the fields without carrying out of them or borrowing from the next
 shifted_terms = st.lists(
-    st.tuples(st.lists(st.integers(0, (2**63 - 1) // 18), max_size=12),
+    st.tuples(st.lists(st.integers(-((2**63 - 1) // 18), (2**63 - 1) // 18), max_size=12),
               st.lists(st.integers(0, 15), max_size=6)),
     max_size=3,
 )
@@ -250,6 +250,7 @@ shifted_terms = st.lists(
 @example([([5, 7], [0])], 1)
 @example([([5, 7], []), ([1], [1])], 3)
 @example([([1, 2, 3], [2, 2, 0, 4, 9])], 4)
+@example([([-1, 0, 1], [0, 1]), ([-5], [3])], 6)
 @settings(max_examples=300, deadline=None)
 @given(shifted_terms, st.integers(0, 16))
 def test_shifted_sum_matches_double_loop(terms, length):
@@ -257,16 +258,20 @@ def test_shifted_sum_matches_double_loop(terms, length):
 
 
 def test_shifted_sum_rejects_entries_a_field_cannot_hold():
-    # a negative entry borrows from the next field; max entry * shift count
-    # reaching 2**63 may carry out of the sign bit, counted over all columns
-    for terms in ([([3, -1, 3], [0])], [([3, 1], [0, 1]), ([0, -1], [2])],
-                  [([2**62, 1], [0, 1])], [([1, 2**62], [5]), ([1], [0])],
-                  [([2**61], [0, 0, 9, 9])]):
+    # max |entry| * shift count reaching 2**63 may carry out of the sign bit
+    # or borrow past it, counted over all columns
+    for terms in ([([2**62, 1], [0, 1])], [([1, 2**62], [5]), ([1], [0])],
+                  [([2**61], [0, 0, 9, 9])], [([-2**62], [0, 1])],
+                  [([1, -2**62], [5]), ([-1], [0])]):
         with pytest.raises(InternalCheckError, match="64-bit fields"):
             _shifted_sum(terms, 8)
+    # negative entries are exact, also where a field borrows from the next
+    for terms in ([([3, -1, 3], [0])], [([3, 1], [0, 1]), ([0, -1], [2])]):
+        assert list(_shifted_sum(terms, 8)) == shifted_sum_oracle(terms, 8)
     assert list(_shifted_sum([([2**62 - 1, 1], [0, 0]), ([], [])], 3)) == [2**63 - 2, 2, 0]
     most = (2**63 - 1) // 3
     assert list(_shifted_sum([([most] * 3, [0, 1, 2])], 3)) == [most, 2 * most, 3 * most]
+    assert list(_shifted_sum([([-most] * 3, [0, 1, 2])], 3)) == [-most, -2 * most, -3 * most]
 
 
 def test_cohen_bound():

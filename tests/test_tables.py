@@ -263,8 +263,8 @@ def test_form_count_fields_cannot_overflow_at_table_bound():
     assert increments <= x * math.isqrt(x // 3) // 2 < 2**32
 
 
-# the first odd and even columns, the squares 1, 4 and 9 where 12*H(0) is
-# put back, and the benchmark's size
+# the first odd and even columns, the squares 1, 4 and 9 that read
+# 12*H(0) = -1, and the benchmark's size
 @example(1)
 @example(2)
 @example(3)
@@ -279,17 +279,20 @@ def test_kronecker_theta_matches_oracle(nmax):
 
 
 def test_theta_sum_rejects_entries_a_field_cannot_hold():
-    # a negative entry past 12*H(0) would borrow from the next 64-bit field,
-    # and xmax entries of 2**62 would carry out of it
+    # xmax entries of absolute value 2**62 would carry out of a 64-bit field
+    # or borrow past its sign bit
     nmax = 100
-    for m, value in ((7, -1), (40, 2**62), (4 * nmax - 1, 2**62)):
+    for m, value in ((40, 2**62), (4 * nmax - 1, 2**62), (40, -2**62)):
         table = h12_table(4 * nmax)[:]
         table[m] = value
         with pytest.raises(InternalCheckError, match="64-bit fields"):
             _theta_sum(table, nmax)
-    table = h12_table(4 * nmax)[:]
-    table[40] = (2**63 - 1) // math.isqrt(4 * nmax)
-    assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
+    # negative entries past 12*H(0) are summed exactly, down to the bound
+    most = (2**63 - 1) // math.isqrt(4 * nmax)
+    for m, value in ((7, -1), (40, most), (40, -most)):
+        table = h12_table(4 * nmax)[:]
+        table[m] = value
+        assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
 
 
 def times_theta(column, nmax):
@@ -415,7 +418,7 @@ def test_theta_class_matches_oracle(d0, nmax):
                 continue
             parity = ((a * n) % 2, (c * n) % 2)
             values, shifts, counts = theta_class_oracle(form, nmax, *parity)
-            assert _theta_class(form, nmax, *parity)[1:] == (shifts, counts)
+            assert _theta_class(form, nmax, *parity) == (shifts, counts)
             assert rows[form.form, n].term_count == bisect_right(values, 4 * d0 * n)
             if parity == (0, 0):
                 # the origin, alone in its class under (v, u) -> (-v, -u)
