@@ -1,11 +1,13 @@
 """Exact integer kernel: factorization, Kronecker symbols, discriminant helpers.
 
 Everything here works on plain Python ints (arbitrary precision) and
-``fractions.Fraction``; no floating point anywhere.
+``fractions.Fraction``; no floating point anywhere.  Only ``unpack_fields``
+and ``shifted_sum`` know the packed-field format: signs, item sizes, byte order.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import reduce
 
@@ -222,3 +224,48 @@ def fundamental_decomposition(d: int) -> tuple[int, int]:
         d0, f = -4 * k, s // 2
     assert f * f * d0 == d and is_fundamental_discriminant(d0)
     return d0, f
+
+
+def unpack_fields(value: int, length: int, width: int) -> array:
+    """The first ``length`` fields of ``width`` bytes of ``value``, least
+    significant first, read as offset binary (exact for fields in
+    [-2**(8*width - 1), 2**(8*width - 1))), as an array of ``width``-byte
+    items.  Raises InternalCheckError if no array typecode has that size.
+    """
+    typecode = next((code for code in "bhilq" if array(code).itemsize == width), None)
+    if typecode is None:
+        raise InternalCheckError(f"no array typecode has {width}-byte items")
+    mask = (1 << 8 * width * length) - 1
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    # masked before the offset is added: shifted sums run past length fields
+    value = ((value & mask) + offset) ^ offset
+    del offset  # freed before the fields are made
+    fields = array(typecode, (value & mask).to_bytes(width * length, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def shifted_sum(terms: list[tuple[list[int] | array, list[int]]], length: int) -> array:
+    """Entry n < length of the sum over (column, shifts) in ``terms`` and s in
+    shifts of column[n - s], by Kronecker substitution: each column is the int
+    sum of column[i] * 2**(64*i), read as offset binary, and each shift one
+    big-int add.  Signed entries are exact; raises InternalCheckError unless
+    the largest |entry| times the number of shifts is below 2**63.
+    """
+    terms_count = sum(len(shifts) for _, shifts in terms)
+    if any(max(max(column, default=0), -min(column, default=0)) * terms_count >= 1 << 63
+           for column, _ in terms):
+        raise InternalCheckError(f"a sum of {terms_count} shifted columns does not fit 64-bit fields")
+    total = 0
+    for column, shifts in terms:
+        packed = array("q", column)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        # XOR with 2**63 in every 64-bit field turns two's complement fields
+        # into offset binary
+        offset = int.from_bytes((bytes(7) + b"\x80") * len(packed), "little")
+        value = (int.from_bytes(packed, "little") ^ offset) - offset
+        del packed, offset  # freed before the shifted copies are made
+        total += sum(value << 64 * shift for shift in shifts)
+    return unpack_fields(total, length, 8)

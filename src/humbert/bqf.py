@@ -5,14 +5,13 @@ kept (``class_number``, ``hurwitz``), or as per-run tables
 (``class_number_table``, ``hurwitz_table``) built from one count of the
 reduced forms of every discriminant up to a bound (``form_count_table``):
 h by Moebius inversion over square divisors, 12H directly from the count.
-The count adds bytes along strided slices and moves them into one int of
-32-bit fields before any byte could wrap.
+The count adds bytes along strided slices and moves them into the 32-bit
+fields of one int (``arith.unpack_fields``) before any byte could wrap.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +19,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, InternalCheckError, is_discriminant, smallest_prime_factors
+from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, smallest_prime_factors, unpack_fields
 
 
 class BQF(NamedTuple):
@@ -119,15 +118,22 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-def _form_counts(x: int) -> list[int]:
-    # The number of reduced forms (a, b, c), primitive or not, with
-    # 4ac - b**2 = k for 0 <= k <= x, as a list indexed by k.
+def form_count_table(x: int) -> array:
+    """The number of reduced forms of discriminant -k, primitive or not, for
+    0 <= k <= x as an array indexed by k (0 where -k is not a discriminant,
+    and at k = 0): the sum of h(-k/g**2) over g**2 | k.
+
+    One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
+    GTM 138, 5.3, run for all discriminants at once): one strided slice per
+    a and pair (b, -b), adding 1 or 2 to one byte per k with
+    ``bytes.translate``.  Before a byte could wrap, from a bound on what one
+    a can add to it, the bytes move into the 32-bit fields of one int, which
+    ``arith.unpack_fields`` reads.  Rejects x > arith.TABLE_BOUND.
+    """
     if x < 0:
         raise ValueError("table size must be >= 0")
     if x > TABLE_BOUND:
         raise ValueError(f"input too large: tables are built up to {TABLE_BOUND} entries")
-    # Each (a, b) adds 1 or 2 to a strided slice of one byte per k; before a
-    # byte could wrap, the plane moves into the 32-bit fields of one int.
     plus1, plus2 = bytes(range(1, 256)) + b"\0", bytes(range(2, 256)) + b"\0\1"
     plane, fields, total, load = bytearray(x + 1), bytearray(4 * (x + 1)), 0, 0
     for a in range(1, math.isqrt(x // 3) + 1):
@@ -151,28 +157,7 @@ def _form_counts(x: int) -> list[int]:
             if start <= x:
                 plane[start] -= 1
     fields[::4] = plane
-    counts = array("I")
-    if counts.itemsize != 4:
-        raise InternalCheckError("form counts need 4-byte array items")
-    counts.frombytes((total + int.from_bytes(fields, "little")).to_bytes(4 * (x + 1), "little"))
-    if sys.byteorder == "big":
-        counts.byteswap()
-    return counts.tolist()
-
-
-def form_count_table(x: int) -> array:
-    """The number of reduced forms of discriminant -k, primitive or not, for
-    0 <= k <= x as an array indexed by k (0 where -k is not a discriminant,
-    and at k = 0): the sum of h(-k/g**2) over g**2 | k.
-
-    One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
-    GTM 138, 5.3, run for all discriminants at once): one strided slice per
-    a and pair (b, -b), adding 1 or 2 to one byte per k with
-    ``bytes.translate``.  Before a byte could wrap, from a bound on what one
-    a can add to it, the bytes move into the 32-bit fields of one int.
-    Rejects x > arith.TABLE_BOUND.
-    """
-    return array("q", _form_counts(x))
+    return unpack_fields(total + int.from_bytes(fields, "little"), x + 1, 4)
 
 
 def class_number_table(x: int) -> array:
@@ -183,8 +168,8 @@ def class_number_table(x: int) -> array:
     count of -k/g**2 (``form_count_table``), one slice per squarefree
     g <= sqrt(x).  Rejects x > arith.TABLE_BOUND.
     """
-    counts = _form_counts(x)
-    table = counts[:]
+    counts = form_count_table(x)
+    table = counts.tolist()
     root = math.isqrt(x)
     spf = smallest_prime_factors(root)
     mu = [0, 1] + [0] * (root - 1)
@@ -241,7 +226,7 @@ def hurwitz_table(x: int) -> array:
     forms r*(1, 1, 1) and r*(1, 0, 1) weigh 4 and 6 instead of 12.  Rejects
     x > arith.TABLE_BOUND.
     """
-    table = array("q", map(mul, _form_counts(x), repeat(12)))
+    table = array("q", map(mul, form_count_table(x), repeat(12)))
     table[0] = -1
     for r in range(1, math.isqrt(x // 3) + 1):
         table[3 * r * r] -= 8

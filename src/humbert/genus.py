@@ -14,7 +14,7 @@ import math
 from typing import Iterator, Literal, NamedTuple
 
 from . import bqf
-from .arith import is_prime, is_squarefree, kronecker, prime_divisors
+from .arith import CLASS_NUMBER_BOUND, is_prime, is_squarefree, kronecker, prime_divisors
 from .bqf import BQF
 
 # A primitive positive definite form represents a value coprime to any fixed
@@ -102,8 +102,13 @@ def eligible_forms(d0: int) -> list[EligibleForm]:
 
     Each class is decorated with its genus characters at the primes dividing
     d0 (evaluated on Q itself when primitive, on Q' when Q = 4Q'), the split
-    d0 = D*N, and the ambiguity flag.
+    d0 = D*N, and the ambiguity flag.  Rejects 16*d0 > arith.CLASS_NUMBER_BOUND
+    before any work: the forms are enumerated one by one, as in
+    ``bqf.class_number``.
     """
+    if 16 * d0 > CLASS_NUMBER_BOUND:
+        raise ValueError(f"input too large: forms of discriminant -16*D0 are enumerated up to "
+                         f"16*D0 = {CLASS_NUMBER_BOUND}")
     if d0 < 1 or not is_squarefree(d0):
         raise ValueError("D0 must be squarefree")
     every = bqf.reduced_forms(-16 * d0, primitive_only=False)

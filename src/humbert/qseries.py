@@ -8,7 +8,7 @@ outside world insist on an integer lead.
 
 The Cohen coefficients a_n are not built from these series:
 ``cohen_coefficients`` takes them from a divisor sieve and a packed theta
-sum of signed entries (``_shifted_sum``, shared with ``relations``), and
+sum of signed entries (``arith.shifted_sum``, shared with ``relations``), and
 the q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in
 the tests as its oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with
 ValueError before any work (exit 2 from the CLI).
@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
 from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from .arith import COHEN_BOUND, InternalCheckError
+from .arith import COHEN_BOUND, shifted_sum
 
 
 class _QSeriesFields(NamedTuple):
@@ -198,37 +196,6 @@ def eta_power(scale_factor: int, exponent: int, prec: int) -> QSeries:
     return QSeries(Fraction(scale_factor * exponent, 24) + raised.lead, raised.coeffs)
 
 
-def _shifted_sum(terms: list[tuple[list[int] | array, list[int]]], length: int) -> array:
-    """Entry n < length of the sum over (column, shifts) in ``terms`` and s in
-    shifts of column[n - s], by Kronecker substitution: each column is the int
-    sum of column[i] * 2**(64*i), read as offset binary, and each shift one
-    big-int add.  Signed entries are exact; raises InternalCheckError unless
-    the largest |entry| times the number of shifts is below 2**63.
-    """
-    terms_count = sum(len(shifts) for _, shifts in terms)
-    if any(max(max(column, default=0), -min(column, default=0)) * terms_count >= 1 << 63
-           for column, _ in terms):
-        raise InternalCheckError(f"a sum of {terms_count} shifted columns does not fit 64-bit fields")
-    # XOR with 2**63 in every 64-bit field turns two's complement fields into
-    # offset binary and back
-    sign_bit = b"\0\0\0\0\0\0\0\x80"
-    total = 0
-    for column, shifts in terms:
-        packed = array("q", column)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        offset = int.from_bytes(sign_bit * len(packed), "little")
-        value = (int.from_bytes(packed, "little") ^ offset) - offset
-        del packed, offset  # freed before the shifted copies are made
-        total += sum(value << 64 * shift for shift in shifts)
-    # masked before the offset is added: the total runs past length fields
-    mask, offset = (1 << 64 * length) - 1, int.from_bytes(sign_bit * length, "little")
-    out = array("q", ((((total & mask) + offset) ^ offset) & mask).to_bytes(8 * length, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
 def cohen_coefficients(nmax: int) -> list[int]:
     """Coefficients a_0 .. a_nmax of theta**5 - 20*theta*eta(4z)**8/eta(2z)**4.
 
@@ -259,5 +226,5 @@ def cohen_coefficients(nmax: int) -> list[int]:
     g[0] = 1
     # Largest shift first: later big ints reuse its memory (in ascending order
     # nmax = 2*10**5 took 475k page faults, 1 s of system time).
-    shifted = _shifted_sum([(g, [x * x for x in range(root, 0, -1)])], nmax + 1)
+    shifted = shifted_sum([(g, [x * x for x in range(root, 0, -1)])], nmax + 1)
     return list(map(operator.add, g, map(operator.add, shifted, shifted)))

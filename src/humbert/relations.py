@@ -19,10 +19,11 @@ tables leave out into the lattice counts, and reads a_n from one
 ``cohen_coefficients`` list;
 ``verify_kronecker`` packs two columns of the 12H table, 12*H(0) = -1
 included, into the signed theta kernel of the Cohen coefficients
-(``qseries._shifted_sum``), and adds its divisor sums as strided slices.
-``lattice_sum`` and ``verification_row`` evaluate one row point by point and
-keep no state; they are the oracle the tables are checked against, and the
-tables, built per run, are the only reuse.  A failed cross-check raises
+(``arith.shifted_sum``), and adds its divisor sums as strided slices.
+``lattice_sum`` and ``verification_row`` evaluate one row point by point
+(its ``rhs`` is a_n times the volume term) and keep no state; they are the
+oracle the tables are checked against, and the tables, built per run, are
+the only reuse.  A failed cross-check raises
 ``InternalCheckError``.
 """
 
@@ -37,10 +38,10 @@ from itertools import accumulate, count, repeat
 from operator import add, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
-from .arith import TABLE_BOUND, InternalCheckError, prime_divisors
+from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, shifted_sum
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
-from .qseries import _shifted_sum, cohen_coefficients
+from .qseries import cohen_coefficients
 from .shimura import (
     ShimuraLevel,
     level_tables,
@@ -110,13 +111,6 @@ class KroneckerRow(NamedTuple):
     match: bool
 
 
-def _validate(form: EligibleForm, n: int) -> None:
-    if form.D == 1:
-        raise ValueError("relation requires D > 1")
-    if n < 1 or n % 4 in (2, 3):
-        raise ValueError("n must be a positive integer congruent to 0 or 1 mod 4")
-
-
 def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> LatticeSum:
     """Evaluate the left-hand side sum with exact enumeration.
 
@@ -125,7 +119,10 @@ def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> Latt
     term contributing the weighted class number at D0*n - Q(v, u)/4; terms
     with a non-integral or inadmissible argument contribute zero.
     """
-    _validate(form, n)
+    if form.D == 1:
+        raise ValueError("relation requires D > 1")
+    if n < 1 or n % 4 in (2, 3):
+        raise ValueError("n must be a positive integer congruent to 0 or 1 mod 4")
     a, b, c = form.form
     d0 = form.d0
     level = ShimuraLevel(form.D, form.N)
@@ -196,12 +193,6 @@ def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
             if m >= 0:
                 total += weighted_class_number(level, m)
     return total
-
-
-def relation_rhs(form: EligibleForm, n: int) -> Fraction:
-    """Right-hand side: a_n times the volume term of the level."""
-    _validate(form, n)
-    return cohen_coefficients(n)[n] * volume_term(ShimuraLevel(form.D, form.N))
 
 
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
@@ -377,7 +368,7 @@ def _theta_sum(hurwitz12: array, nmax: int) -> array:
     # verify_kronecker).  4n - x**2 is 4m for even x = 2y and 4m + 3 for odd
     # x = 2y + 1, with n - m = y*y and y*y + y + 1.
     xmax = math.isqrt(4 * nmax)
-    return _shifted_sum([(hurwitz12[0::4], [y * y for y in range(1, xmax // 2 + 1)]),
+    return shifted_sum([(hurwitz12[0::4], [y * y for y in range(1, xmax // 2 + 1)]),
                          (hurwitz12[3::4], [y * y + y + 1 for y in range((xmax + 1) // 2)])],
                         nmax + 1)
 

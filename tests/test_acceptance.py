@@ -63,7 +63,7 @@ def test_acceptance_3_relation_sweep():
 def test_acceptance_4_worked_instance():
     form = next(f for f in eligible_forms(10) if f.form == bqf.BQF(5, 0, 8))
     stats = relations.lattice_sum(form, 1)
-    rhs = relations.relation_rhs(form, 1)
+    rhs = relations.verification_row(form, 1).rhs
     ok = (stats.value == rhs == Fraction(10, 3)
           and stats.nonzero_interior_terms == 6
           and stats.boundary_terms == 0)

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from humbert.arith import (
     FACTOR_BOUND,
+    InternalCheckError,
     divisors,
     factor,
     fundamental_decomposition,
@@ -13,7 +15,9 @@ from humbert.arith import (
     is_squarefree,
     kronecker,
     prime_divisors,
+    shifted_sum,
     sigma,
+    unpack_fields,
 )
 
 
@@ -153,3 +157,61 @@ def test_divisors_and_prime_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert prime_divisors(60) == [2, 3, 5]
+
+
+def fields_oracle(value, length, width):
+    # The fields of value one at a time: each is the residue of what is left
+    # in [-2**(8*width - 1), 2**(8*width - 1)), and the rest carries on.
+    base, half = 1 << 8 * width, 1 << 8 * width - 1
+    fields = []
+    for _ in range(length):
+        field = (value + half) % base - half
+        fields.append(field)
+        value = (value - field) >> 8 * width
+    return fields
+
+
+def pack(fields, width, high=0):
+    # the int sum of fields[i] * 2**(8*width*i), with high above the fields
+    return sum(f << 8 * width * i for i, f in enumerate(fields)) + (high << 8 * width * len(fields))
+
+
+def signed_fields(width):
+    half = 1 << 8 * width - 1
+    return st.tuples(st.just(width), st.lists(st.integers(-half, half - 1), max_size=12),
+                     st.integers(-2**100, 2**100))
+
+
+@example((4, [], 0))
+@example((4, [-2**31, 2**31 - 1, -1, 0], -1))
+@example((8, [-2**63, 2**63 - 1, -1, 0], 2**64 + 5))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 8]).flatmap(signed_fields))
+def test_unpack_fields_round_trip(case):
+    # signed fields come back exactly, and the bits past them are masked off
+    width, fields, high = case
+    value = pack(fields, width, high)
+    unpacked = unpack_fields(value, len(fields), width)
+    assert unpacked.itemsize == width
+    assert list(unpacked) == fields_oracle(value, len(fields), width) == fields
+
+
+def test_unpack_fields_needs_an_array_type_of_the_width():
+    with pytest.raises(InternalCheckError, match="3-byte items"):
+        unpack_fields(0, 1, 3)
+
+
+def test_other_host_byte_order_swaps_field_bytes(monkeypatch):
+    # Claiming the other byte order runs the byteswap branch the host skips
+    # (the big-endian one on little-endian hosts): the decoder returns every
+    # field with its bytes reversed, while shifted_sum swaps when it packs
+    # and again when it decodes, so one unshifted column comes back as it is.
+    cases = {4: [0x01020304, -2, 2**31 - 1, -2**31, 0],
+             8: [0x0102030405060708, -2, 2**63 - 1, -2**63, 0]}
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    for width, fields in cases.items():
+        swapped = [int.from_bytes(f.to_bytes(width, "little", signed=True), "big", signed=True)
+                   for f in fields]
+        assert list(unpack_fields(pack(fields, width), len(fields), width)) == swapped
+    column = [0x0102030405060708, -1, -2**62, 2**63 - 1, 0, 5]
+    assert list(shifted_sum([(column, [0])], len(column))) == column

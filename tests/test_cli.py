@@ -200,7 +200,10 @@ def test_size_guards_exit_2_before_computing(capsys, monkeypatch):
                  ["verify", "--d0", "10000000000001", "--nmax", "1"],
                  ["verify", "--d0", "1155", "--nmax", "1000"],
                  ["kronecker", "--nmax", "200000"],
-                 ["cohen", "--nmax", "1000000000000"]):
+                 ["cohen", "--nmax", "1000000000000"],
+                 ["forms", "--d0", "62500001"],
+                 ["selfcheck", "--d0", "62500001"],
+                 ["forms", "--d0", "999999999989"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "input too large" in err, argv

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from humbert.arith import is_squarefree, kronecker, prime_divisors
+from humbert.arith import CLASS_NUMBER_BOUND, is_squarefree, kronecker, prime_divisors
 from humbert.bqf import BQF, reduced_forms, represents_only_0_1_mod4
 from humbert.genus import (
     atkin_lehner_group_order,
@@ -99,6 +99,15 @@ def test_quarter_forms_only_for_3_mod_4():
 def test_eligible_forms_rejects_non_squarefree():
     with pytest.raises(ValueError, match="squarefree"):
         eligible_forms(12)
+
+
+def test_eligible_forms_size_bound():
+    # 16*D0 = CLASS_NUMBER_BOUND passes the size check and fails the next
+    # one (62500000 = 2**5 * 5**8); one more is rejected before any work
+    with pytest.raises(ValueError, match="squarefree"):
+        eligible_forms(CLASS_NUMBER_BOUND // 16)
+    with pytest.raises(ValueError, match="input too large"):
+        eligible_forms(CLASS_NUMBER_BOUND // 16 + 1)
 
 
 def test_even_number_of_minus_one_characters():

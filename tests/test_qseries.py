@@ -7,10 +7,9 @@ from itertools import repeat
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from humbert.arith import COHEN_BOUND, InternalCheckError, divisors, factor, kronecker
+from humbert.arith import COHEN_BOUND, InternalCheckError, divisors, factor, kronecker, shifted_sum
 from humbert.qseries import (
     QSeries,
-    _shifted_sum,
     add,
     cohen_coefficients,
     eta_power,
@@ -254,7 +253,7 @@ shifted_terms = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(shifted_terms, st.integers(0, 16))
 def test_shifted_sum_matches_double_loop(terms, length):
-    assert list(_shifted_sum(terms, length)) == shifted_sum_oracle(terms, length)
+    assert list(shifted_sum(terms, length)) == shifted_sum_oracle(terms, length)
 
 
 def test_shifted_sum_rejects_entries_a_field_cannot_hold():
@@ -264,14 +263,14 @@ def test_shifted_sum_rejects_entries_a_field_cannot_hold():
                   [([2**61], [0, 0, 9, 9])], [([-2**62], [0, 1])],
                   [([1, -2**62], [5]), ([-1], [0])]):
         with pytest.raises(InternalCheckError, match="64-bit fields"):
-            _shifted_sum(terms, 8)
+            shifted_sum(terms, 8)
     # negative entries are exact, also where a field borrows from the next
     for terms in ([([3, -1, 3], [0])], [([3, 1], [0, 1]), ([0, -1], [2])]):
-        assert list(_shifted_sum(terms, 8)) == shifted_sum_oracle(terms, 8)
-    assert list(_shifted_sum([([2**62 - 1, 1], [0, 0]), ([], [])], 3)) == [2**63 - 2, 2, 0]
+        assert list(shifted_sum(terms, 8)) == shifted_sum_oracle(terms, 8)
+    assert list(shifted_sum([([2**62 - 1, 1], [0, 0]), ([], [])], 3)) == [2**63 - 2, 2, 0]
     most = (2**63 - 1) // 3
-    assert list(_shifted_sum([([most] * 3, [0, 1, 2])], 3)) == [most, 2 * most, 3 * most]
-    assert list(_shifted_sum([([-most] * 3, [0, 1, 2])], 3)) == [-most, -2 * most, -3 * most]
+    assert list(shifted_sum([([most] * 3, [0, 1, 2])], 3)) == [most, 2 * most, 3 * most]
+    assert list(shifted_sum([([-most] * 3, [0, 1, 2])], 3)) == [-most, -2 * most, -3 * most]
 
 
 def test_cohen_bound():

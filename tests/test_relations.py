@@ -8,7 +8,6 @@ from humbert.genus import eligible_forms
 from humbert.qseries import cohen_coefficients
 from humbert.relations import (
     lattice_sum,
-    relation_rhs,
     verification_row,
     verify_kronecker,
     verify_relation,
@@ -30,7 +29,8 @@ def test_worked_instance():
     assert stats.value == Fraction(10, 3)
     assert stats.nonzero_interior_terms == 6
     assert stats.boundary_terms == 0
-    assert verification_row(F10, 1).lhs == relation_rhs(F10, 1) == Fraction(10, 3)
+    row = verification_row(F10, 1)
+    assert row.lhs == row.rhs == Fraction(10, 3)
     contributions = sorted(stats.terms)
     assert [(u, v, m, h) for u, v, m, h in contributions] == [
         (-1, -2, 3, Fraction(1, 3)),
@@ -43,11 +43,11 @@ def test_worked_instance():
 
 
 def test_rhs_examples():
-    assert relation_rhs(F10, 1) == Fraction(10, 3)
-    assert relation_rhs(F10, 4) == -70 * volume_term(ShimuraLevel(10, 1))
+    assert verification_row(F10, 1).rhs == Fraction(10, 3)
+    assert verification_row(F10, 4).rhs == -70 * volume_term(ShimuraLevel(10, 1))
     # a_2 = 0, but n = 2 is outside the admissible congruence classes
     with pytest.raises(ValueError, match="0 or 1 mod 4"):
-        relation_rhs(F10, 2)
+        verification_row(F10, 2)
 
 
 def test_validation_errors():
@@ -67,7 +67,7 @@ def test_boundary_terms_instance():
     assert stats.boundary_terms == 2
     assert stats.boundary_sum == 2 * volume_term(ShimuraLevel(10, 1))
     assert stats.interior_sum + stats.boundary_sum == stats.value
-    assert stats.value == relation_rhs(F10, 5)
+    assert stats.value == verification_row(F10, 5).rhs
 
 
 def test_every_nonzero_term_has_admissible_argument():
@@ -111,14 +111,15 @@ def test_swap_arguments_relabelling_agrees():
     swapped = f26._replace(form=BQF(21, 2, 5))
     for n in (1, 4, 5):
         assert lattice_sum(f26, n).value == lattice_sum(swapped, n).value
-    assert lattice_sum(f26, 1).value == relation_rhs(f26, 1)
+    assert lattice_sum(f26, 1).value == verification_row(f26, 1).rhs
 
 
 def test_quarter_form_rewritten_sum():
     f15 = form_of(15, (8, 4, 8))
     # verification_row runs the rewritten-sum cross-check internally
     for n in (1, 4, 5):
-        assert verification_row(f15, n).lhs == relation_rhs(f15, n)
+        row = verification_row(f15, n)
+        assert row.lhs == row.rhs
 
 
 def test_verify_relation_d0_10():

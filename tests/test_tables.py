@@ -249,9 +249,10 @@ def test_form_count_table_matches_oracle(x):
 
 
 def test_form_count_fields_cannot_overflow_at_table_bound():
-    # A 32-bit field of the count holds a sum of increments of its k, so none
-    # can overflow while all increments together stay below 2**32: 6.2e7 at
-    # the bound, under x*isqrt(x/3)/2 = 1.0e8 (each a adds about x/2).
+    # A 32-bit field of the count holds a sum of increments of its k, read
+    # as a signed field by arith.unpack_fields, so none can overflow while
+    # all increments together stay below 2**31: 6.2e7 at the bound, under
+    # x*isqrt(x/3)/2 = 1.0e8 (each a adds about x/2).
     x = TABLE_BOUND
     increments = 0
     for a in range(1, math.isqrt(x // 3) + 1):
@@ -260,7 +261,7 @@ def test_form_count_fields_cannot_overflow_at_table_bound():
             start = step * a - b * b
             if start <= x:
                 increments += (1 if b in (0, a) else 2) * ((x - start) // step + 1)
-    assert increments <= x * math.isqrt(x // 3) // 2 < 2**32
+    assert increments <= x * math.isqrt(x // 3) // 2 < 2**31
 
 
 # the first odd and even columns, the squares 1, 4 and 9 that read
