@@ -20,6 +20,9 @@ tables leave out into the lattice counts, and reads a_n from one
 ``verify_kronecker`` packs two columns of the 12H table, 12*H(0) = -1
 included, into the signed theta kernel of the Cohen coefficients
 (``arith.shifted_sum``), and adds its divisor sums as strided slices.
+``verify_kronecker`` builds its rows from integer columns.  In the rows of
+both, the match is one integer equality over the one denominator, and a
+matching row's ``lhs`` and ``rhs`` are one ``Fraction``.
 ``lattice_sum`` and ``verification_row`` evaluate one row point by point
 (its ``rhs`` is a_n times the volume term) and keep no state; they are the
 oracle the tables are checked against, and the tables, built per run, are
@@ -34,8 +37,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from operator import add, floordiv, lshift, mod, mul
+from itertools import accumulate, count, filterfalse, repeat
+from operator import add, eq, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
 from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, shifted_sum
@@ -345,11 +348,15 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 # the boundary points j = x read table[0], 6 times the volume
                 # term, with the weight 2**omega(D0): L times the volume term
                 numerator = sum(counts[i] * table[x - shifts[i]] for i in range(k))
-                lhs = Fraction(numerator, denominator)
-                rhs = Fraction(cohen[n] * volume, denominator)
+                # both sides over the one denominator L: the numerators decide
+                # the match, and a matching row's lhs is its rhs
+                target = cohen[n] * volume
+                match = numerator == target
+                rhs = Fraction(target, denominator)
+                lhs = rhs if match else Fraction(numerator, denominator)
                 rows.append(VerificationRow(
                     d0=d0, form=form.form, D=form.D, N=form.N, n=n,
-                    lhs=lhs, rhs=rhs, a_n=cohen[n], match=lhs == rhs,
+                    lhs=lhs, rhs=rhs, a_n=cohen[n], match=match,
                     term_count=points[k],
                 ))
     rows = [row for form in forms if form.D > 1 for row in form_rows[form.form]]
@@ -382,7 +389,11 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     m = 0 and m = 3 mod 4 of the table become two ints of 64-bit fields, and
     each x >= 1 adds one of them shifted by (x*x + 3)//4 fields.  The sums
     of min(d, n/d) and sigma(n) come from one divisor sieve over
-    d <= sqrt(nmax).  Rejects 4*nmax > arith.TABLE_BOUND before any work.
+    d <= sqrt(nmax).  The rows come from these integer columns: row n
+    matches when 12 times its left side equals 24*sigma(n), and holds one
+    ``Fraction`` 2*sigma(n) as both ``lhs`` and ``rhs`` then; a mismatching
+    row's ``lhs`` is its own ``Fraction``.  Rejects 4*nmax >
+    arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -400,10 +411,14 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
         sigmas[square] += d
         min_sums[square + d::d] = map(add, min_sums[square + d::d], repeat(2 * d))
         sigmas[square + d::d] = map(add, sigmas[square + d::d], count(2 * d + 1))
-    rows = []
-    for n in range(1, nmax + 1):
-        lhs12 = hurwitz12[4 * n] + 2 * theta[n] + 12 * min_sums[n]
-        rhs = 2 * sigmas[n]
-        rows.append(KroneckerRow(n=n, lhs=Fraction(lhs12, 12), rhs=Fraction(rhs),
-                                 match=lhs12 == 12 * rhs))
-    return rows
+    # the rows n >= 1 as columns: 12 times the left side, its exact test
+    # against 12 times the right side, and one Fraction 2*sigma(n) per row
+    lhs12 = list(map(add, map(add, hurwitz12[4::4], map(mul, theta[1:], repeat(2))),
+                     map(mul, min_sums[1:], repeat(12))))
+    matches = list(map(eq, lhs12, map(mul, sigmas[1:], repeat(24))))
+    rhs = list(map(Fraction, map(mul, sigmas[1:], repeat(2))))
+    # a matching row's lhs is its rhs; only a mismatch gets its own Fraction
+    lhs = rhs.copy()
+    for i in filterfalse(matches.__getitem__, range(nmax)):
+        lhs[i] = Fraction(lhs12[i], 12)
+    return list(map(KroneckerRow._make, zip(range(1, nmax + 1), lhs, rhs, matches)))

@@ -10,7 +10,7 @@ import pytest
 
 from humbert import bqf, relations
 from humbert.cli import fmt_rat, main
-from humbert.shimura import ShimuraLevel
+from humbert.shimura import ShimuraLevel, volume_term
 
 
 def run(capsys, *argv):
@@ -141,6 +141,27 @@ def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
     assert re.search(r"u=-?1 v=-?2 m=3 H=1/3", out)
 
 
+def test_verify_mismatch_prints_both_sides(capsys, monkeypatch):
+    # a_1 + 1 changes only the right side of row n = 1: its lhs stays the
+    # lattice sum, its rhs is the perturbed a_1 times the volume term
+    real = relations.cohen_coefficients
+
+    def broken(nmax):
+        coeffs = real(nmax)
+        coeffs[1] += 1
+        return coeffs
+
+    form = next(f for f in relations.eligible_forms(10) if f.D > 1)
+    lhs = relations.verification_row(form, 1).lhs
+    rhs = (real(1)[1] + 1) * volume_term(ShimuraLevel(form.D, form.N))
+    assert lhs != rhs
+    monkeypatch.setattr(relations, "cohen_coefficients", broken)
+    code, out, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    assert code == 1
+    assert out.splitlines()[1] == (f"D0=10 form=(5,0,8) D=10 N=1 n=1 lhs={fmt_rat(lhs)} "
+                                   f"rhs={fmt_rat(rhs)} match=False")
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     real = relations.level_tables
 
@@ -218,6 +239,35 @@ def test_kronecker_command(capsys):
     code, out, _ = run(capsys, "kronecker", "--nmax", "40")
     assert code == 0
     assert "all_match=True" in out
+
+
+@pytest.mark.parametrize("n, lhs, rhs", [(1, "13/6", 2), (7, "97/6", 16), (40, "1081/6", 180)])
+def test_kronecker_mismatch_exits_1(capsys, monkeypatch, n, lhs, rhs):
+    # one more unit in theta[n] adds 2 to 12 times the left side of row n;
+    # the right side 2*sigma(n) stays
+    _, clean, _ = run(capsys, "kronecker", "--nmax", "40")
+    lhs12 = 12 * rhs
+    real = relations._theta_sum
+
+    def broken(hurwitz12, nmax):
+        theta = real(hurwitz12, nmax)
+        theta[n] += 1
+        return theta
+
+    monkeypatch.setattr(relations, "_theta_sum", broken)
+    code, out, _ = run(capsys, "kronecker", "--nmax", "40")
+    assert code == 1
+    lines, clean_lines = out.splitlines(), clean.splitlines()
+    assert len(lines) == len(clean_lines) == 41
+    assert clean_lines[n - 1] == f"n={n} lhs={rhs} rhs={rhs} match=True"
+    assert lines[n - 1] == f"n={n} lhs={lhs} rhs={rhs} match=False"
+    assert lines[:n - 1] + lines[n:-1] == clean_lines[:n - 1] + clean_lines[n:-1]
+    assert lines[-1] == "all_match=False"
+    row = relations.verify_kronecker(40)[n - 1]
+    assert row.n == n
+    assert row.lhs == Fraction(lhs12 + 2, 12) == Fraction(lhs)
+    assert row.rhs == rhs != row.lhs
+    assert row.match is False
 
 
 def test_verify_jobs_deterministic(capsys):
