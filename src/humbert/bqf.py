@@ -41,10 +41,6 @@ class BQF(NamedTuple):
     def __call__(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    def reflected(self) -> "BQF":
-        """The mirror form (a, -b, c)."""
-        return BQF(self.a, -self.b, self.c)
-
     def __repr__(self):
         return f"BQF({self.a}, {self.b}, {self.c})"
 
@@ -79,11 +75,6 @@ def gl2_canonical(q: BQF) -> BQF:
     """Reduced representative of the GL(2,Z)-class, normalized to b >= 0."""
     r = reduce(q)
     return r if r.b >= 0 else BQF(r.a, -r.b, r.c)
-
-
-def is_ambiguous(q: BQF) -> bool:
-    """True iff the form is SL(2,Z)-equivalent to its mirror image."""
-    return reduce(q) == reduce(q.reflected())
 
 
 def reduced_forms(d: int, primitive_only: bool = True) -> list[BQF]:
@@ -238,18 +229,6 @@ def hurwitz_table(x: int) -> array:
 def represents_only_0_1_mod4(q: BQF) -> bool:
     """True iff every value of the form is 0 or 1 mod 4 (scan of residues mod 4)."""
     return all(q(x, y) % 4 in (0, 1) for x in range(4) for y in range(4))
-
-
-def gl2_classes(forms: list[BQF]) -> list[BQF]:
-    """Merge SL(2,Z)-classes under the mirror map; keep b >= 0 representatives."""
-    seen = set()
-    out = []
-    for q in forms:
-        canon = gl2_canonical(q)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return sorted(out)
 
 
 def represent(q: BQF, m: int) -> tuple[int, int] | None:

@@ -28,11 +28,6 @@ CACHE_VERSION = 1
 SELFCHECK_D0 = (10, 15, 21, 33)
 
 
-def fmt_rat(x: Fraction | int) -> str:
-    # str of an int or a Fraction is already "p" or "p/q" in lowest terms
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # class-number cache file
 
@@ -144,7 +139,7 @@ def cmd_cohen(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
-    value = fmt_rat(bqf.hurwitz(args.n))
+    value = str(bqf.hurwitz(args.n))
     emit(args, "hurwitz", {"n": args.n}, ["n", "H"], [{"n": args.n, "H": value}], [value])
     return 0
 
@@ -186,8 +181,8 @@ def rational(text: str) -> Fraction:
 
 def cmd_hdn(args) -> int:
     level = ShimuraLevel(args.D, args.N)
-    value = fmt_rat(weighted_class_number(level, args.m))
-    m = fmt_rat(args.m)
+    value = str(weighted_class_number(level, args.m))
+    m = str(args.m)
     emit(args, "hdn", {"D": args.D, "N": args.N, "m": m}, ["D", "N", "m", "H"],
          [{"D": args.D, "N": args.N, "m": m, "H": value}], [value])
     return 0
@@ -197,10 +192,10 @@ def _print_counterexample(row: relations.VerificationRow) -> None:
     form = next(f for f in genus.eligible_forms(row.d0) if f.form == row.form)
     stats = relations.lattice_sum(form, row.n, collect_terms=True)
     print(f"counterexample: D0={row.d0} form=({row.form.a},{row.form.b},{row.form.c}) "
-          f"n={row.n} lhs={fmt_rat(row.lhs)} rhs={fmt_rat(row.rhs)} a_n={row.a_n}")
+          f"n={row.n} lhs={row.lhs} rhs={row.rhs} a_n={row.a_n}")
     print("nonzero terms of the lattice sum:")
     for u, v, m, h in stats.terms:
-        print(f"  u={u} v={v} m={fmt_rat(m)} H={fmt_rat(h)}")
+        print(f"  u={u} v={v} m={m} H={h}")
 
 
 def cmd_verify(args) -> int:
@@ -218,13 +213,13 @@ def cmd_verify(args) -> int:
         (f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}"
          for s in skipped),
         (f"D0={r.d0} form=({r.form.a},{r.form.b},{r.form.c}) D={r.D} N={r.N} "
-         f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}" for r in rows),
+         f"n={r.n} lhs={r.lhs} rhs={r.rhs} match={r.match}" for r in rows),
         [f"all_match={all_match} rows={len(rows)} skipped={len(skipped)}"])
     emit(args, "verify", {"d0": args.d0, "nmax": args.nmax, "jobs": args.jobs},
          ["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"],
          ({"D0": r.d0, "a": r.form.a, "b": r.form.b, "c": r.form.c,
-           "D": r.D, "N": r.N, "n": r.n, "lhs": fmt_rat(r.lhs),
-           "rhs": fmt_rat(r.rhs), "match": r.match} for r in rows),
+           "D": r.D, "N": r.N, "n": r.n, "lhs": str(r.lhs),
+           "rhs": str(r.rhs), "match": r.match} for r in rows),
          text, all_match,
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
                       for s in skipped]})
@@ -242,9 +237,9 @@ def cmd_kronecker(args) -> int:
     rows = relations.verify_kronecker(args.nmax)
     all_match = all(r.match for r in rows)
     emit(args, "kronecker", {"nmax": args.nmax}, ["n", "lhs", "rhs", "match"],
-         ({"n": r.n, "lhs": fmt_rat(r.lhs), "rhs": fmt_rat(r.rhs), "match": r.match}
+         ({"n": r.n, "lhs": str(r.lhs), "rhs": str(r.rhs), "match": r.match}
           for r in rows),
-         itertools.chain((f"n={r.n} lhs={fmt_rat(r.lhs)} rhs={fmt_rat(r.rhs)} match={r.match}"
+         itertools.chain((f"n={r.n} lhs={r.lhs} rhs={r.rhs} match={r.match}"
                           for r in rows), [f"all_match={all_match}"]),
          all_match)
     return 0 if all_match else 1

@@ -5,7 +5,10 @@ is 0 or 1 mod 4.  Such a form is primitive or four times a primitive form of
 discriminant -D0 (the latter only when D0 = 3 mod 4).  Its genus characters
 at the primes dividing D0 split D0 = D*N, with D the product of the primes
 where the character is -1; D is the discriminant of the quaternion algebra
-attached to the form and N the level of the Eichler order.
+attached to the form and N the level of the Eichler order.  The forms come
+from one enumeration of the reduced forms (``bqf.reduced_forms``): each
+GL(2,Z)-class is its reduced form with b >= 0, ambiguous exactly when
+b = 0, b = a or a = c.
 """
 
 from __future__ import annotations
@@ -111,38 +114,30 @@ def eligible_forms(d0: int) -> list[EligibleForm]:
                          f"16*D0 = {CLASS_NUMBER_BOUND}")
     if d0 < 1 or not is_squarefree(d0):
         raise ValueError("D0 must be squarefree")
-    every = bqf.reduced_forms(-16 * d0, primitive_only=False)
-    passing = [q for q in every if bqf.represents_only_0_1_mod4(q)]
-    for q in passing:
-        assert q.content() in (1, 4), f"unexpected content {q.content()} for {q}"
     primes = prime_divisors(d0)
     out = []
-    for form in bqf.gl2_classes(passing):
-        if form.content() == 1:
+    # reduced_forms lists each GL(2,Z)-class once with b >= 0, in (a, b, c)
+    # order, and the mirror (a, -b, c) of a class that is not ambiguous
+    for form in bqf.reduced_forms(-16 * d0, primitive_only=False):
+        if form.b < 0 or not bqf.represents_only_0_1_mod4(form):
+            continue
+        content = form.content()
+        if content == 1:
             kind: Literal["primitive", "four_times_primitive"] = "primitive"
             char_form = form
         else:
+            # content 4 and discriminant -16*d0: the quarter is primitive of discriminant -d0
+            assert content == 4 and d0 % 4 == 3, f"unexpected content {content} for {form}"
             kind = "four_times_primitive"
-            assert d0 % 4 == 3
             char_form = BQF(form.a // 4, form.b // 4, form.c // 4)
-            assert char_form.disc() == -d0 and char_form.content() == 1
         chars = {p: genus_character(char_form, p, d0) for p in primes}
         D = math.prod(p for p in primes if chars[p] == -1)
         N = d0 // D
         assert math.gcd(D, N) == 1 and D * N == d0
         assert sum(1 for p in primes if chars[p] == -1) % 2 == 0
-        out.append(
-            EligibleForm(
-                form=form,
-                d0=d0,
-                kind=kind,
-                chars=chars,
-                D=D,
-                N=N,
-                ambiguous=bqf.is_ambiguous(form),
-            )
-        )
-    return sorted(out, key=lambda f: (f.form.a, f.form.b, f.form.c))
+        out.append(EligibleForm(form=form, d0=d0, kind=kind, chars=chars, D=D, N=N,
+                                ambiguous=form.b in (0, form.a) or form.a == form.c))
+    return out
 
 
 def atkin_lehner_group_order(f: EligibleForm) -> int:

@@ -5,9 +5,12 @@ I*I = -DN, J*J = p, IJ = -JI, for a prime p represented by the form (or by
 its quarter when the form is four times a primitive one).  The explicit
 order bases, the rank-2 quadratic form on the orthogonal complement of I,
 the singular relations cut out by the order, and the period matrices of the
-associated abelian surfaces are all constructed here.  Everything is exact
-rational arithmetic except ``period_matrix_check``, which evaluates the
-closed-form period matrix in high-precision floating complex arithmetic.
+associated abelian surfaces are all constructed here.  Coordinates over an
+order basis are solved by Cramer's rule with the cofactor ``det``;
+``build_order`` checks closure under multiplication through them.
+Everything is exact rational arithmetic except ``period_matrix_check``,
+which evaluates the closed-form period matrix in high-precision floating
+complex arithmetic.
 """
 
 from __future__ import annotations
@@ -202,34 +205,28 @@ def order_parameters(form: EligibleForm) -> tuple[int, int, int]:
     raise InternalCheckError("inconsistent parameters: no admissible s below 4p")
 
 
-def _basis_matrix_inverse(e: tuple[Quaternion, ...]) -> list[list[Fraction]]:
-    # Inverse of the 4x4 matrix whose rows are the (w,x,y,z) coordinates.
-    n = 4
-    aug = [[Fraction(v) for v in e[i].coords()] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InternalCheckError("order construction inconsistent: singular basis")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _coordinates(minv: list[list[Fraction]], q: Quaternion) -> tuple[Fraction, ...]:
-    # Coordinates of q over the basis whose inverse matrix is minv.
-    vec = q.coords()
-    return tuple(sum(vec[k] * minv[k][j] for k in range(4)) for j in range(4))
+def det(m):
+    """Exact determinant of a square matrix by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    total = 0
+    for j in range(len(m)):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * det(minor)
+    return total
 
 
 def coordinates_in_basis(ob: OrderBasis, q: Quaternion) -> tuple[Fraction, ...]:
-    """Coordinates of q over the order basis (exact)."""
-    return _coordinates(_basis_matrix_inverse(ob.e), q)
+    """Coordinates of q over the order basis, exact by Cramer's rule: the
+    j-th is det of the basis rows with row j replaced by q, over det of the
+    basis rows."""
+    rows = [e.coords() for e in ob.e]
+    volume = det(rows)
+    if volume == 0:
+        raise InternalCheckError("order construction inconsistent: singular basis")
+    return tuple(Fraction(det(rows[:j] + [q.coords()] + rows[j + 1:]), volume) for j in range(4))
 
 
 def build_order(form: EligibleForm) -> OrderBasis:
@@ -256,25 +253,11 @@ def build_order(form: EligibleForm) -> OrderBasis:
             Fraction(1, 2 * p) * (Fraction(s * dn) * j_ + k_),
         )
     ob = OrderBasis(source=form, kind=form.kind, p=p, s=s, t=t, e=e)
-    minv = _basis_matrix_inverse(e)
     for a in e:
         for b in e:
-            if any(coord.denominator != 1 for coord in _coordinates(minv, a * b)):
+            if any(coord.denominator != 1 for coord in coordinates_in_basis(ob, a * b)):
                 raise InternalCheckError("order construction inconsistent: not closed under multiplication")
     return ob
-
-
-def det(m):
-    """Exact determinant of a square matrix by cofactor expansion."""
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j in range(len(m)):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
 
 
 def reduced_discriminant(ob: OrderBasis) -> int:

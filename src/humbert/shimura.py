@@ -183,8 +183,9 @@ def level_tables(levels: list[ShimuraLevel],
     denominator = table_denominator(product)
     classes = {q: _residue_classes(q) for q in primes}
     shared = [h * denominator for h in class_numbers]
-    # 6 over the unit weight 3 or 2 of the orders of discriminant -3 and -4
-    shared[3:5] = [h * w * denominator // 6 for h, w in zip(class_numbers[3:5], (2, 3))]
+    # h(-k) L / e(k), where the unit weight e(k) is 1 except at k = 3 and 4
+    shared[3:5] = [h * denominator // bqf.unit_weight_denominator(-k)
+                   for k, h in enumerate(class_numbers[3:5], 3)]
     for q in primes:
         for start, step in classes[q][0]:
             shared[start::step] = map(rshift, shared[start::step], repeat(1))

@@ -8,9 +8,7 @@ from humbert.bqf import (
     BQF,
     class_number,
     gl2_canonical,
-    gl2_classes,
     hurwitz,
-    is_ambiguous,
     reduce,
     reduced_forms,
     represent,
@@ -150,24 +148,6 @@ def test_eligible_content_is_1_or_4():
         for q in reduced_forms(-16 * d0, primitive_only=False):
             if represents_only_0_1_mod4(q):
                 assert q.content() in (1, 4), (d0, q)
-
-
-def test_gl2_classes():
-    assert gl2_classes([BQF(4, 4, 11), BQF(4, -4, 11)]) == [BQF(4, 4, 11)]
-    assert gl2_classes([BQF(1, 0, 40)]) == [BQF(1, 0, 40)]
-    # disc -160: every reduced class is fixed by the mirror map, so the
-    # GL2 count equals the SL2 count (frozen from the triple-scan oracle)
-    prims = reduced_forms(-160)
-    assert all(is_ambiguous(q) for q in prims)
-    assert len(gl2_classes(prims)) == 4
-
-
-def test_gl2_merges_non_ambiguous_pairs():
-    forms = reduced_forms(-336)
-    pair = [q for q in forms if q.a == 5]
-    assert sorted(pair) == [BQF(5, -2, 17), BQF(5, 2, 17)]
-    assert gl2_classes(pair) == [BQF(5, 2, 17)]
-    assert not is_ambiguous(BQF(5, 2, 17))
 
 
 def test_gl2_canonical_has_nonnegative_b():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from humbert import bqf, relations
-from humbert.cli import fmt_rat, main
+from humbert.cli import main
 from humbert.shimura import ShimuraLevel, volume_term
 
 
@@ -17,13 +17,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_fmt_rat():
-    assert fmt_rat(Fraction(1, 2)) == "1/2"
-    assert fmt_rat(Fraction(-10, 3)) == "-10/3"
-    assert fmt_rat(Fraction(4, 2)) == "2"
-    assert fmt_rat(5) == "5"
 
 
 def test_cohen_text(capsys):
@@ -158,8 +151,8 @@ def test_verify_mismatch_prints_both_sides(capsys, monkeypatch):
     monkeypatch.setattr(relations, "cohen_coefficients", broken)
     code, out, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
     assert code == 1
-    assert out.splitlines()[1] == (f"D0=10 form=(5,0,8) D=10 N=1 n=1 lhs={fmt_rat(lhs)} "
-                                   f"rhs={fmt_rat(rhs)} match=False")
+    assert out.splitlines()[1] == (f"D0=10 form=(5,0,8) D=10 N=1 n=1 lhs={lhs} "
+                                   f"rhs={rhs} match=False")
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

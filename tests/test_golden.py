@@ -5,8 +5,9 @@ for byte with ``tests/golden/<name>.out``; the exit status is part of the
 case.  The ``cohen`` and ``kronecker`` outputs of the benchmark (nmax
 2990 .. 3010) and its ``verify`` outputs (the sweep and wide families) are
 compared by sha256 with ``bench/reference.json``, which is only read here;
-two larger ``verify`` runs, one larger ``kronecker`` run and one larger
-``cohen --format json`` run are pinned by sha256 in this file.
+two larger ``verify`` runs, one larger ``kronecker`` run, one larger
+``cohen --format json`` run and the ``forms --format json`` runs of every
+squarefree D0 <= 1000 are pinned by sha256 in this file.
 Refactors of the CLI or of the layers below it must keep these files
 unchanged.  To record them afresh (only when an output change is intended):
 
@@ -136,6 +137,23 @@ OTHER_PINS = {
 def test_output_matches_pinned_digest(key):
     code, out = run_cli(key.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, OTHER_PINS[key])
+
+
+# sha256 of the concatenated stdout of forms --d0 D0 --format json over the
+# squarefree D0 <= 1000 in ascending order, recorded with the eligible forms
+# merged by bqf.gl2_canonical and flagged by reducing each mirror form
+FORMS_JSON_SHA256 = "2367e0cd7d5cffe5baccc7c4fab16a228d90ad7d30000f9831303bdc675137ca"
+
+
+def test_forms_json_matches_pinned_digest():
+    from humbert.arith import is_squarefree
+
+    digest = hashlib.sha256()
+    for d0 in filter(is_squarefree, range(1, 1001)):
+        code, out = run_cli(["forms", "--d0", str(d0), "--format", "json"])
+        assert code == 0, d0
+        digest.update(out.encode())
+    assert digest.hexdigest() == FORMS_JSON_SHA256
 
 
 # Per-layer metrics that bench/run.py and bench/child.py add around the tracer.

@@ -1,10 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from humbert import quat
+from humbert.arith import InternalCheckError
 from humbert.bqf import BQF, gl2_canonical
+from humbert.cli import main
 from humbert.genus import eligible_forms
 from humbert.quat import (
     OrderBasis,
@@ -114,6 +118,51 @@ def test_orders_close_and_have_reduced_discriminant_dn():
             for b in ob.e:
                 coords = coordinates_in_basis(ob, a * b)
                 assert all(c.denominator == 1 for c in coords), (ob.source.form, a, b)
+
+
+# D0 = 10 has a primitive form with D > 1, D0 = 15 also the four-times form (8, 4, 8)
+CHECK_FORMS = [f for d0 in (10, 15) for f in eligible_forms(d0) if f.D > 1]
+
+
+def form_id(f):
+    return f"{f.d0}-{f.form.a},{f.form.b},{f.form.c}"
+
+
+def test_check_forms_cover_both_kinds():
+    assert {f.kind for f in CHECK_FORMS} == {"primitive", "four_times_primitive"}
+
+
+@pytest.mark.parametrize("form", CHECK_FORMS, ids=form_id)
+def test_coordinates_reject_a_singular_basis(form):
+    ob = build_order(form)
+    e1, e2, e3, e4 = ob.e
+    with pytest.raises(InternalCheckError, match="singular basis"):
+        coordinates_in_basis(dataclasses.replace(ob, e=(e1, e1, e3, e4)), e2)
+
+
+def shifted_parameters(monkeypatch):
+    # s + 2 keeps the parity of s but breaks s**2*DN + 1 = 0 mod p (or 4p)
+    real = quat.order_parameters
+
+    def shifted(form):
+        p, s, t = real(form)
+        return p, s + 2, t
+
+    monkeypatch.setattr(quat, "order_parameters", shifted)
+
+
+@pytest.mark.parametrize("form", CHECK_FORMS, ids=form_id)
+def test_build_order_rejects_an_order_not_closed(form, monkeypatch):
+    shifted_parameters(monkeypatch)
+    with pytest.raises(InternalCheckError, match="not closed under multiplication"):
+        build_order(form)
+
+
+def test_selfcheck_exits_3_when_the_order_is_not_closed(capsys, monkeypatch):
+    shifted_parameters(monkeypatch)
+    assert main(["selfcheck", "--d0", "10"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "internal check failed" in err[0]
 
 
 def test_order_form_explicit_and_gl2_class():
