@@ -15,6 +15,7 @@ from humbert.bqf import (
     represents_only_0_1_mod4,
     unit_weight_denominator,
 )
+from humbert.genus import eligible_forms
 
 
 def test_disc_examples():
@@ -148,6 +149,35 @@ def test_eligible_content_is_1_or_4():
         for q in reduced_forms(-16 * d0, primitive_only=False):
             if represents_only_0_1_mod4(q):
                 assert q.content() in (1, 4), (d0, q)
+
+
+def is_mirror_fixed(q: BQF) -> bool:
+    """True iff the form is SL(2,Z)-equivalent to its mirror image (ambiguous)."""
+    return reduce(q) == reduce(BQF(q.a, -q.b, q.c))
+
+
+def test_gl2_classes():
+    assert {gl2_canonical(q) for q in (BQF(4, 4, 11), BQF(4, -4, 11))} == {BQF(4, 4, 11)}
+    assert gl2_canonical(BQF(1, 0, 40)) == BQF(1, 0, 40)
+    # disc -160: every reduced class is fixed by the mirror map, so the
+    # GL2 count equals the SL2 count (frozen from the triple-scan oracle)
+    prims = reduced_forms(-160)
+    assert all(is_mirror_fixed(q) for q in prims)
+    assert len({gl2_canonical(q) for q in prims}) == len(prims) == 4
+    # the eligible forms of D0 = 10 (disc -160) are all ambiguous
+    assert [(f.form, f.ambiguous) for f in eligible_forms(10)] == [
+        (BQF(1, 0, 40), True), (BQF(5, 0, 8), True)]
+
+
+def test_gl2_merges_non_ambiguous_pairs():
+    forms = reduced_forms(-336)
+    pair = [q for q in forms if q.a == 5]
+    assert pair == [BQF(5, -2, 17), BQF(5, 2, 17)]
+    assert {gl2_canonical(q) for q in pair} == {BQF(5, 2, 17)}
+    assert not is_mirror_fixed(BQF(5, 2, 17))
+    # D0 = 21 (disc -336): the pair is one eligible class, flagged not ambiguous
+    eligible = {f.form: f.ambiguous for f in eligible_forms(21)}
+    assert eligible[BQF(5, 2, 17)] is False and BQF(5, -2, 17) not in eligible
 
 
 def test_gl2_canonical_has_nonnegative_b():

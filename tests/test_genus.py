@@ -120,20 +120,6 @@ def test_eligible_forms_size_bound():
         eligible_forms(CLASS_NUMBER_BOUND // 16 + 1)
 
 
-def test_gl2_oracle_merges_only_non_ambiguous_pairs():
-    # disc -160: every reduced class is fixed by the mirror map, so the
-    # GL2 count equals the SL2 count (frozen from the triple-scan oracle)
-    prims = reduced_forms(-160)
-    assert all(is_ambiguous_oracle(q) for q in prims)
-    assert len(gl2_classes_oracle(prims)) == len(prims) == 4
-    assert gl2_classes_oracle([BQF(4, 4, 11), BQF(4, -4, 11)]) == [BQF(4, 4, 11)]
-    # disc -336: (5, -2, 17) and (5, 2, 17) are one GL2-class, not ambiguous
-    pair = [q for q in reduced_forms(-336) if q.a == 5]
-    assert pair == [BQF(5, -2, 17), BQF(5, 2, 17)]
-    assert gl2_classes_oracle(pair) == [BQF(5, 2, 17)]
-    assert not is_ambiguous_oracle(BQF(5, 2, 17))
-
-
 def test_eligible_forms_match_gl2_oracle():
     # the passing reduced forms merged by gl2_canonical, in sorted order, with
     # the ambiguity flag from reducing the mirror form
@@ -143,8 +129,6 @@ def test_eligible_forms_match_gl2_oracle():
                    if represents_only_0_1_mod4(q)]
         expected = [(q, is_ambiguous_oracle(q)) for q in gl2_classes_oracle(passing)]
         assert [(f.form, f.ambiguous) for f in eligible_forms(d0)] == expected, d0
-    forms21 = {f.form: f.ambiguous for f in eligible_forms(21)}
-    assert forms21[BQF(5, 2, 17)] is False and BQF(5, -2, 17) not in forms21
 
 
 def test_even_number_of_minus_one_characters():
