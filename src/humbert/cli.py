@@ -68,8 +68,9 @@ def save_cache(path: str, class_numbers: array) -> None:
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(f"{CACHE_HEADER} {CACHE_VERSION}\n")
             for k in range(len(class_numbers) - 1, 0, -1):
@@ -78,7 +79,7 @@ def save_cache(path: str, class_numbers: array) -> None:
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
 
 

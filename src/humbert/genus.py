@@ -9,20 +9,23 @@ attached to the form and N the level of the Eichler order.  The forms come
 from one enumeration of the reduced forms (``bqf.reduced_forms``): each
 GL(2,Z)-class is its reduced form with b >= 0, ambiguous exactly when
 b = 0, b = a or a = c.
+
+The character at p is read from the coefficients of the primitive form
+Q = (a, b, c): (v|p) for odd p and (8|v) for p = 2, with v = a, or v = c
+when p divides a (p cannot divide both, Q being primitive).  It is the value
+at every represented number prime to 2*D0, since 4a*Q(x, y) =
+(2ax + by)^2 - disc*y^2 and p divides disc (32 does when p = 2); see Cox,
+*Primes of the Form x^2 + ny^2*, section 3.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from . import bqf
 from .arith import CLASS_NUMBER_BOUND, is_prime, is_squarefree, kronecker, prime_divisors
 from .bqf import BQF
-
-# A primitive positive definite form represents a value coprime to any fixed
-# modulus well inside this search radius; running past it signals misuse.
-SPIRAL_SEARCH_BOUND = 200
 
 
 class EligibleForm(NamedTuple):
@@ -48,56 +51,22 @@ class EligibleForm(NamedTuple):
         )
 
 
-def _spiral() -> Iterator[tuple[int, int]]:
-    # Rings of constant sup-norm r, each starting at (r, 0) and walking
-    # counterclockwise; deterministic order for reproducible searches.
-    yield (0, 0)
-    r = 1
-    while True:
-        for y in range(0, r + 1):
-            yield (r, y)
-        for x in range(r - 1, -r - 1, -1):
-            yield (x, r)
-        for y in range(r - 1, -r - 1, -1):
-            yield (-r, y)
-        for x in range(-r + 1, r + 1):
-            yield (x, -r)
-        for y in range(-r + 1, 0):
-            yield (r, y)
-        r += 1
-
-
-def coprime_values(q: BQF, m: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (x, y, q(x,y)) with gcd(q(x,y), 2m) = 1 over the spiral to SPIRAL_SEARCH_BOUND."""
-    for x, y in _spiral():
-        if max(abs(x), abs(y)) > SPIRAL_SEARCH_BOUND:
-            return
-        value = q(x, y)
-        if value > 0 and math.gcd(value, 2 * m) == 1:
-            yield (x, y, value)
-
-
-def find_coprime_value(q: BQF, m: int) -> tuple[int, int, int]:
-    """Smallest-height (x, y) with q(x, y) positive and coprime to 2m."""
-    if not q.is_positive_definite():
-        raise ValueError("not positive definite")
-    for hit in coprime_values(q, m):
-        return hit
-    raise ValueError("no coprime representation found within search bound")
-
-
 def genus_character(q: BQF, p: int, d0: int) -> int:
     """Genus character of the class of q at a prime p dividing d0.
 
-    Evaluated on a represented value a coprime to 2*d0: the Legendre symbol
-    (a|p) for odd p, and the Kronecker symbol (8|a) for p = 2.
+    q must be a primitive positive definite form of discriminant -16*d0 or
+    -d0.  With v = a, or v = c when p divides a, the character is the
+    Legendre symbol (v|p) for odd p and the Kronecker symbol (8|v) for p = 2.
     """
-    if d0 % p != 0 or not is_prime(p):
+    if not is_prime(p) or d0 % p != 0:
         raise ValueError("character prime must divide D0")
-    _, _, a = find_coprime_value(q, d0)
+    if not q.is_positive_definite() or q.content() != 1 or q.disc() not in (-16 * d0, -d0):
+        raise ValueError(f"{q!r} is not a primitive positive definite form of "
+                         f"discriminant -16*D0 or -D0")
+    v = q.c if q.a % p == 0 else q.a
     if p == 2:
-        return kronecker(8, a)
-    return kronecker(a, p)
+        return kronecker(8, v)
+    return kronecker(v, p)
 
 
 def eligible_forms(d0: int) -> list[EligibleForm]:

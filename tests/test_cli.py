@@ -305,6 +305,19 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert cache.exists()
 
 
+def test_cache_in_missing_directory_warns_and_exits_0(tmp_path, capsys, monkeypatch):
+    clean = run(capsys, "verify", "--d0", "10", "--nmax", "3")
+    missing = tmp_path / "no-such-dir" / "c.txt"
+    flag = run(capsys, "verify", "--d0", "10", "--nmax", "3", "--cache", str(missing))
+    monkeypatch.setenv("HUMBERT_CACHE", str(tmp_path / "no-such-dir" / "x"))
+    env = run(capsys, "verify", "--d0", "10", "--nmax", "3")
+    for code, out, err in (flag, env):
+        assert code == 0
+        assert out == clean[1]
+        assert "warning: could not write cache file" in err
+    assert not missing.parent.exists()
+
+
 def test_tampered_cache_cannot_change_result(tmp_path, capsys):
     cache = tmp_path / "tampered.txt"
     cache.write_text("humbert-classnum-cache 1\n-40 9\n")   # h(-40) is 2

@@ -1,18 +1,64 @@
 import itertools
+import math
+from typing import Iterator
 
 import pytest
 
 from humbert.arith import CLASS_NUMBER_BOUND, is_squarefree, kronecker, prime_divisors
 from humbert.bqf import BQF, gl2_canonical, reduce, reduced_forms, represents_only_0_1_mod4
-from humbert.genus import (
-    atkin_lehner_group_order,
-    coprime_values,
-    eligible_forms,
-    find_coprime_value,
-    genus_character,
-)
+from humbert.genus import atkin_lehner_group_order, eligible_forms, genus_character
 
 SQUAREFREE_50 = [n for n in range(1, 51) if is_squarefree(n)]
+
+# A primitive positive definite form represents a value coprime to any fixed
+# modulus well inside this search radius; running past it signals misuse.
+SPIRAL_SEARCH_BOUND = 200
+# squarefree D0 up to this bound give 42,579 (form, p) pairs for the oracle comparison
+ORACLE_D0_MAX = 1000
+
+
+def _spiral() -> Iterator[tuple[int, int]]:
+    # Rings of constant sup-norm r, each starting at (r, 0) and walking
+    # counterclockwise; deterministic order for reproducible searches.
+    yield (0, 0)
+    r = 1
+    while True:
+        for y in range(0, r + 1):
+            yield (r, y)
+        for x in range(r - 1, -r - 1, -1):
+            yield (x, r)
+        for y in range(r - 1, -r - 1, -1):
+            yield (-r, y)
+        for x in range(-r + 1, r + 1):
+            yield (x, -r)
+        for y in range(-r + 1, 0):
+            yield (r, y)
+        r += 1
+
+
+def coprime_values(q: BQF, m: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (x, y, q(x,y)) with gcd(q(x,y), 2m) = 1 over the spiral to SPIRAL_SEARCH_BOUND."""
+    for x, y in _spiral():
+        if max(abs(x), abs(y)) > SPIRAL_SEARCH_BOUND:
+            return
+        value = q(x, y)
+        if value > 0 and math.gcd(value, 2 * m) == 1:
+            yield (x, y, value)
+
+
+def find_coprime_value(q: BQF, m: int) -> tuple[int, int, int]:
+    """Smallest-height (x, y) with q(x, y) positive and coprime to 2m."""
+    if not q.is_positive_definite():
+        raise ValueError("not positive definite")
+    for hit in coprime_values(q, m):
+        return hit
+    raise ValueError("no coprime representation found within search bound")
+
+
+def spiral_character(q: BQF, p: int, d0: int) -> int:
+    """The genus character at p, evaluated on the first represented value coprime to 2*d0."""
+    _, _, a = find_coprime_value(q, d0)
+    return kronecker(8, a) if p == 2 else kronecker(a, p)
 
 
 def is_ambiguous_oracle(q: BQF) -> bool:
@@ -43,12 +89,51 @@ def test_find_coprime_value_exhausts_on_misuse():
         find_coprime_value(BQF(2, 0, 2), 10)
 
 
+NOT_ADMITTED = "not a primitive positive definite form of discriminant -16[*]D0 or -D0"
+
+
 def test_genus_character_examples():
     assert genus_character(BQF(5, 0, 8), 5, 10) == -1   # (13|5) = (3|5) = -1
     assert genus_character(BQF(5, 0, 8), 2, 10) == -1   # 13 = 5 mod 8
     assert genus_character(BQF(1, 0, 40), 5, 10) == 1
     with pytest.raises(ValueError):
         genus_character(BQF(5, 0, 8), 3, 10)  # 3 does not divide 10
+    with pytest.raises(ValueError, match="character prime"):
+        genus_character(BQF(1, 0, 40), 0, 10)  # not a prime, and no modulus
+    # content 2, discriminant -160: every represented value is even
+    with pytest.raises(ValueError, match=NOT_ADMITTED):
+        genus_character(BQF(2, 0, 20), 5, 10)
+    # indefinite (discriminant 160) and negative definite
+    with pytest.raises(ValueError, match=NOT_ADMITTED):
+        genus_character(BQF(1, 0, -40), 5, 10)
+    with pytest.raises(ValueError, match=NOT_ADMITTED):
+        genus_character(BQF(-1, 0, -40), 5, 10)
+    # primitive and positive definite, but of discriminant -4*10 = -40
+    with pytest.raises(ValueError, match=NOT_ADMITTED):
+        genus_character(BQF(1, 0, 10), 5, 10)
+
+
+def test_genus_character_matches_spiral_oracle():
+    # every primitive reduced form of discriminant -16*D0, and -D0 when
+    # D0 = 3 mod 4, at every prime p | D0
+    pairs = 0
+    for d0 in range(1, ORACLE_D0_MAX + 1):
+        if not is_squarefree(d0):
+            continue
+        discs = (-16 * d0, -d0) if d0 % 4 == 3 else (-16 * d0,)
+        for disc in discs:
+            for q in reduced_forms(disc, primitive_only=True):
+                for p in prime_divisors(d0):
+                    assert genus_character(q, p, d0) == spiral_character(q, p, d0), (d0, q, p)
+                    pairs += 1
+    assert pairs == 42579
+
+
+def test_eligible_forms_30030_match_spiral_oracle():
+    d0 = 30030
+    for f in eligible_forms(d0):
+        q = f.character_form
+        assert f.chars == {p: spiral_character(q, p, d0) for p in prime_divisors(d0)}, f
 
 
 def test_character_well_defined_across_represented_values():
@@ -137,8 +222,6 @@ def test_even_number_of_minus_one_characters():
             minus = [p for p in f.chars if f.chars[p] == -1]
             assert len(minus) % 2 == 0
             assert f.D * f.N == d0
-            import math
-
             assert math.gcd(f.D, f.N) == 1
 
 
