@@ -7,9 +7,12 @@ and ``shifted_sum`` know the packed-field format: signs, item sizes, byte order.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from functools import reduce
+from itertools import count
+from operator import add
 
 # Factoring is deterministic trial division; anything past this bound is
 # rejected loudly instead of silently taking forever.
@@ -139,6 +142,18 @@ def sigma(n: int) -> int:
     for p, e in factor(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
+
+
+def sigma_table(x: int) -> list[int]:
+    """sigma(m) for 0 <= m <= x, with sigma(0) = 0: one sieve over the
+    divisor pairs d*e = m with d <= e, each d <= sqrt(x) adding d + e along
+    the strided slice of its multiples from d*d."""
+    table = [0] * (x + 1)
+    for d in range(1, math.isqrt(x) + 1):
+        square = d * d
+        table[square] += d
+        table[square + d::d] = map(add, table[square + d::d], count(2 * d + 1))
+    return table
 
 
 def is_squarefree(n: int) -> bool:

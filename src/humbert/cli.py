@@ -189,13 +189,12 @@ def cmd_hdn(args) -> int:
     return 0
 
 
-def _print_counterexample(row: relations.VerificationRow) -> None:
-    form = next(f for f in genus.eligible_forms(row.d0) if f.form == row.form)
-    stats = relations.lattice_sum(form, row.n, collect_terms=True)
+def _print_counterexample(report: relations.VerificationReport) -> None:
+    row = next(r for r in report.rows if not r.match)
     print(f"counterexample: D0={row.d0} form=({row.form.a},{row.form.b},{row.form.c}) "
           f"n={row.n} lhs={row.lhs} rhs={row.rhs} a_n={row.a_n}")
     print("nonzero terms of the lattice sum:")
-    for u, v, m, h in stats.terms:
+    for u, v, m, h in report.counterexample.terms:
         print(f"  u={u} v={v} m={m} H={h}")
 
 
@@ -229,7 +228,7 @@ def cmd_verify(args) -> int:
         load_cache(cache, report.class_numbers)
         save_cache(cache, report.class_numbers)
     if not all_match:
-        _print_counterexample(next(r for r in rows if not r.match))
+        _print_counterexample(report)
         return 1
     return 0
 

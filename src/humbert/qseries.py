@@ -7,8 +7,9 @@ first-class values; all public entry points that hand coefficients to the
 outside world insist on an integer lead.
 
 The Cohen coefficients a_n are not built from these series:
-``cohen_coefficients`` takes them from a divisor sieve and a packed theta
-sum of signed entries (``arith.shifted_sum``, shared with ``relations``), and
+``cohen_coefficients`` takes them from the divisor sieve of
+``arith.sigma_table`` and a packed theta sum of signed entries
+(``arith.shifted_sum``); both are shared with ``relations``, and
 the q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in
 the tests as its oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with
 ValueError before any work (exit 2 from the CLI).
@@ -19,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count
 from typing import NamedTuple
 
-from .arith import COHEN_BOUND, shifted_sum
+from .arith import COHEN_BOUND, shifted_sum, sigma_table
 
 
 class _QSeriesFields(NamedTuple):
@@ -204,20 +204,16 @@ def cohen_coefficients(nmax: int) -> list[int]:
     Jacobi's r_4(m) = 8 * sum of the d | m with 4 not dividing d, and
     eta(4z)**8/eta(2z)**4 = sum over odd m of sigma(m) q**m, the series is
     theta * g for g(m) = r_4(m) - 20*sigma(m)*[m odd], g(0) = 1: sigma from
-    one sieve over the divisor pairs d*e = m with d <= e, then
-    a_n = g(n) + 2 * sum over x >= 1 of g(n - x**2), one signed shifted sum.
+    ``arith.sigma_table``, then a_n = g(n) + 2 * sum over x >= 1 of
+    g(n - x**2), one signed shifted sum.
     Rejects nmax > arith.COHEN_BOUND before any work.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if nmax > COHEN_BOUND:
         raise ValueError(f"input too large: nmax = {nmax} exceeds the Cohen bound {COHEN_BOUND}")
-    g = [0] * (nmax + 1)
+    g = sigma_table(nmax)
     root = math.isqrt(nmax)
-    for d in range(1, root + 1):
-        square = d * d
-        g[square] += d
-        g[square + d::d] = map(operator.add, g[square + d::d], count(2 * d + 1))
     # sigma, then g in place: -12*sigma(m) at odd m, 8*sigma(m) at m = 2 mod 4
     # and 8*sigma(m) - 32*sigma(m/4) at m = 0 mod 4, done first as it reads sigma
     g[4::4] = [8 * s - 32 * t for s, t in zip(g[4::4], g[1:nmax // 4 + 1])]

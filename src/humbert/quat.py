@@ -162,11 +162,14 @@ class OrderBasis:
     (p, s, t) of ``order_parameters``; ``kind`` is the source form's."""
 
     source: EligibleForm
-    kind: Literal["primitive", "four_times_primitive"]
     p: int
     s: int
     t: int
     e: tuple[Quaternion, Quaternion, Quaternion, Quaternion]
+
+    @property
+    def kind(self) -> Literal["primitive", "four_times_primitive"]:
+        return self.source.kind
 
     @property
     def dn(self) -> int:
@@ -252,7 +255,7 @@ def build_order(form: EligibleForm) -> OrderBasis:
             j_,
             Fraction(1, 2 * p) * (Fraction(s * dn) * j_ + k_),
         )
-    ob = OrderBasis(source=form, kind=form.kind, p=p, s=s, t=t, e=e)
+    ob = OrderBasis(source=form, p=p, s=s, t=t, e=e)
     for a in e:
         for b in e:
             if any(coord.denominator != 1 for coord in coordinates_in_basis(ob, a * b)):

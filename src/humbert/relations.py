@@ -23,11 +23,12 @@ included, into the signed theta kernel of the Cohen coefficients
 ``verify_kronecker`` builds its rows from integer columns.  In the rows of
 both, the match is one integer equality over the one denominator, and a
 matching row's ``lhs`` and ``rhs`` are one ``Fraction``.
-``lattice_sum`` and ``verification_row`` evaluate one row point by point
-(its ``rhs`` is a_n times the volume term) and keep no state; they are the
-oracle the tables are checked against, and the tables, built per run, are
-the only reuse.  A failed cross-check raises
-``InternalCheckError``.
+``lattice_sum`` evaluates one row point by point and keeps no state; the
+tables, built per run, are the only reuse.  ``verify_relation`` walks the
+first mismatching row once with it: that one walk confirms the table row's
+left-hand side and term count, and its nonzero terms are the counterexample
+the report carries.  A failed cross-check raises ``InternalCheckError``.
+``verification_row`` is the tests' point-by-point reference for a whole row.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, count, filterfalse, repeat
+from itertools import accumulate, filterfalse, repeat
 from operator import add, eq, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
-from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, shifted_sum
+from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, shifted_sum, sigma_table
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
@@ -96,13 +97,17 @@ class VerificationReport(NamedTuple):
     # h(-k) for k <= D0*nmax, the table the rows were computed from (only
     # k = 0 when every form is skipped)
     class_numbers: array
+    # the lattice sum of the first mismatching row, walked point by point
+    # with its terms collected; None when every row matches
+    counterexample: LatticeSum | None
 
     @property
     def all_match(self) -> bool:
         return all(row.match for row in self.rows)
 
     def __repr__(self):
-        # leaves out class_numbers, which can hold 5*10**5 entries
+        # leaves out class_numbers, which can hold 5*10**5 entries, and the
+        # counterexample, whose terms can run to thousands
         return (f"VerificationReport(d0={self.d0!r}, nmax={self.nmax!r}, "
                 f"rows={self.rows!r}, skipped={self.skipped!r})")
 
@@ -200,7 +205,12 @@ def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
 
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
     """One exact comparison of the two sides, with the quarter-form
-    cross-check applied where it exists."""
+    cross-check applied where it exists.
+
+    The tests' point-by-point reference for a row of ``verify_relation``,
+    which does not call it.  It stays here because the benchmark's tracer
+    hooks it; it moves to the tests once the benchmark no longer does
+    (ROADMAP item 1)."""
     stats = lattice_sum(form, n)
     lhs = stats.value
     # For four-times-primitive forms the collapsed sum over the quarter form
@@ -272,19 +282,6 @@ def _theta_class(form: EligibleForm, nmax: int, u_par: int,
     return shifts, counts
 
 
-def _oracle_check(forms: list[EligibleForm], row: VerificationRow) -> None:
-    # A mismatch is reported only once the point-by-point row confirms the
-    # table row's left-hand side and term count.
-    form = next(f for f in forms if f.form == row.form)
-    oracle = verification_row(form, row.n)
-    if (oracle.lhs, oracle.term_count) != (row.lhs, row.term_count):
-        raise InternalCheckError(
-            f"table row disagrees with the lattice sum at D0={row.d0} form={row.form} "
-            f"n={row.n}: {row.lhs} over {row.term_count} terms, oracle {oracle.lhs} over "
-            f"{oracle.term_count} terms"
-        )
-
-
 def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> VerificationReport:
     """Verify the relation for every eligible form of the given D0 with D > 1
     and every n <= nmax congruent to 0 or 1 mod 4, or only for the
@@ -296,8 +293,11 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     lattice is enumerated at most twice.  The level tables lack the factor
     2**#{q | D0 : q | m} at m = D0*n - j, which equals 2**#{q | D0 : q | j},
     so each T[j] is multiplied by it once.  The forms are summed level by
-    level, one table held at a time.  Rejects D0*nmax > arith.TABLE_BOUND
-    before any work.
+    level, one table held at a time.  The first mismatching row is walked
+    once by ``lattice_sum`` with its terms collected: that walk must agree
+    with the row's lhs and term count, or ``InternalCheckError`` is raised,
+    and it is the report's ``counterexample``.  Rejects D0*nmax >
+    arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -364,10 +364,18 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                            reason="relation proved only for D > 1 (modular curve needs cusp terms)")
                for form in forms if form.D == 1]
     mismatch = next((row for row in rows if not row.match), None)
+    counterexample = None
     if mismatch is not None:
-        _oracle_check(forms, mismatch)
+        form = next(f for f in forms if f.form == mismatch.form)
+        counterexample = lattice_sum(form, mismatch.n, collect_terms=True)
+        if (counterexample.value, counterexample.points_visited) != (mismatch.lhs, mismatch.term_count):
+            raise InternalCheckError(
+                f"table row disagrees with the lattice sum at D0={d0} form={mismatch.form} "
+                f"n={mismatch.n}: {mismatch.lhs} over {mismatch.term_count} terms, oracle "
+                f"{counterexample.value} over {counterexample.points_visited} terms"
+            )
     return VerificationReport(d0=d0, nmax=nmax, rows=rows, skipped=skipped,
-                              class_numbers=class_numbers)
+                              class_numbers=class_numbers, counterexample=counterexample)
 
 
 def _theta_sum(hurwitz12: array, nmax: int) -> array:
@@ -388,11 +396,11 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     computed as packed integers (Kronecker substitution): the columns
     m = 0 and m = 3 mod 4 of the table become two ints of 64-bit fields, and
     each x >= 1 adds one of them shifted by (x*x + 3)//4 fields.  The sums
-    of min(d, n/d) and sigma(n) come from one divisor sieve over
-    d <= sqrt(nmax).  The rows come from these integer columns: row n
-    matches when 12 times its left side equals 24*sigma(n), and holds one
-    ``Fraction`` 2*sigma(n) as both ``lhs`` and ``rhs`` then; a mismatching
-    row's ``lhs`` is its own ``Fraction``.  Rejects 4*nmax >
+    of min(d, n/d) come from a divisor sieve over d <= sqrt(nmax), and
+    sigma(n) from ``arith.sigma_table``.  The rows come from these integer
+    columns: row n matches when 12 times its left side equals 24*sigma(n),
+    and holds one ``Fraction`` 2*sigma(n) as both ``lhs`` and ``rhs`` then;
+    a mismatching row's ``lhs`` is its own ``Fraction``.  Rejects 4*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
@@ -402,15 +410,13 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     hurwitz12 = hurwitz_table(4 * nmax)
     # theta[n]: the terms with x > 0, each counted once for x and once for -x
     theta = _theta_sum(hurwitz12, nmax)
-    # the divisor pairs d*e = n with d <= e
+    # min(d, e) over the divisor pairs d*e = n with d <= e
     min_sums = [0] * (nmax + 1)
-    sigmas = [0] * (nmax + 1)
     for d in range(1, math.isqrt(nmax) + 1):
         square = d * d
         min_sums[square] += d
-        sigmas[square] += d
         min_sums[square + d::d] = map(add, min_sums[square + d::d], repeat(2 * d))
-        sigmas[square + d::d] = map(add, sigmas[square + d::d], count(2 * d + 1))
+    sigmas = sigma_table(nmax)
     # the rows n >= 1 as columns: 12 times the left side, its exact test
     # against 12 times the right side, and one Fraction 2*sigma(n) per row
     lhs12 = list(map(add, map(add, hurwitz12[4::4], map(mul, theta[1:], repeat(2))),

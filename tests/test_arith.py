@@ -17,6 +17,7 @@ from humbert.arith import (
     prime_divisors,
     shifted_sum,
     sigma,
+    sigma_table,
     unpack_fields,
 )
 
@@ -145,6 +146,11 @@ def test_sigma():
     assert sigma(1) == 1
     assert sigma(6) == 12
     assert sigma(100) == sum(d for d in range(1, 101) if 100 % d == 0) == 217
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 2000])
+def test_sigma_table_matches_sigma(x):
+    assert sigma_table(x) == [0] + [sigma(m) for m in range(1, x + 1)]
 
 
 def test_is_squarefree():

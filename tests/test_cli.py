@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from humbert import bqf, relations
+from humbert import bqf, genus, relations
 from humbert.cli import main
 from humbert.shimura import ShimuraLevel, volume_term
 
@@ -119,15 +120,21 @@ def test_verify_form_filter(capsys):
     assert rows and all(r.split(",")[1:4] == ["8", "4", "8"] for r in rows)
 
 
-def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
+def plant_cohen_mismatch(monkeypatch, n):
+    # a_n + 1 in the coefficients verify reads: only the right side of the
+    # rows at n changes
     real = relations.cohen_coefficients
 
     def broken(nmax):
         coeffs = real(nmax)
-        coeffs[1] += 1
+        coeffs[n] += 1
         return coeffs
 
     monkeypatch.setattr(relations, "cohen_coefficients", broken)
+
+
+def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
+    plant_cohen_mismatch(monkeypatch, 1)
     code, out, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
     assert code == 1
     assert "counterexample" in out
@@ -137,22 +144,59 @@ def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
 def test_verify_mismatch_prints_both_sides(capsys, monkeypatch):
     # a_1 + 1 changes only the right side of row n = 1: its lhs stays the
     # lattice sum, its rhs is the perturbed a_1 times the volume term
-    real = relations.cohen_coefficients
-
-    def broken(nmax):
-        coeffs = real(nmax)
-        coeffs[1] += 1
-        return coeffs
-
     form = next(f for f in relations.eligible_forms(10) if f.D > 1)
     lhs = relations.verification_row(form, 1).lhs
-    rhs = (real(1)[1] + 1) * volume_term(ShimuraLevel(form.D, form.N))
+    rhs = (relations.cohen_coefficients(1)[1] + 1) * volume_term(ShimuraLevel(form.D, form.N))
     assert lhs != rhs
-    monkeypatch.setattr(relations, "cohen_coefficients", broken)
+    plant_cohen_mismatch(monkeypatch, 1)
     code, out, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
     assert code == 1
     assert out.splitlines()[1] == (f"D0=10 form=(5,0,8) D=10 N=1 n=1 lhs={lhs} "
                                    f"rhs={rhs} match=False")
+
+
+@pytest.mark.parametrize("n, argv, digest", [
+    (33, ["--d0", "1155", "--nmax", "40"],
+     "a29ca8f2c9a4545033fadfff471b9344941379dfcc25b4c9161bcf579bbe90d1"),
+    # four-times-primitive forms
+    (197, ["--d0", "15", "--nmax", "200", "--form", "8,4,8"],
+     "486f107d6318357f35d5d7c5f2dff7128c0392885c67cccc9b2dcc2db0587148"),
+    (97, ["--d0", "35", "--nmax", "100", "--form", "12,4,12"],
+     "c44c80db830fa7a8a31fc9c866db14bf96e9adcc2ee9e1247f472f78d8187cec"),
+])
+def test_verify_mismatch_dump_is_pinned(capsys, monkeypatch, n, argv, digest):
+    # the rows and the counterexample's term dump, recorded when verify
+    # re-summed the mismatching row and walked its lattice again to print it
+    plant_cohen_mismatch(monkeypatch, n)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_mismatch_walks_its_row_once(capsys, monkeypatch):
+    # one eligible-forms enumeration, and one point-by-point walk of the
+    # mismatching row that both confirms it and supplies the dump's terms
+    walks, enumerations = [], []
+    real_walk = relations.lattice_sum
+    real_forms = relations.eligible_forms
+
+    def walk(form, n, collect_terms=False):
+        walks.append((form.form, n, collect_terms))
+        return real_walk(form, n, collect_terms)
+
+    def forms(d0):
+        enumerations.append(d0)
+        return real_forms(d0)
+
+    monkeypatch.setattr(relations, "lattice_sum", walk)
+    monkeypatch.setattr(relations, "eligible_forms", forms)
+    monkeypatch.setattr(genus, "eligible_forms", forms)
+    plant_cohen_mismatch(monkeypatch, 5)
+    code, out, _ = run(capsys, "verify", "--d0", "15", "--nmax", "20")
+    assert code == 1
+    assert "counterexample: D0=15 form=(5,0,12) n=5 " in out
+    assert walks == [(bqf.BQF(5, 0, 12), 5, True)]
+    assert enumerations == [15]
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -27,6 +27,7 @@ FIELD_CASES = [
     (lambda: ShimuraLevel(6, 5), "N"),
     (lambda: eligible_forms(10)[0], "D"),
     (lambda: report().rows[0], "lhs"),
+    (report, "counterexample"),
 ]
 
 
@@ -70,3 +71,8 @@ def test_report_repr_leaves_out_the_class_number_table():
     assert text.endswith(")])")
     assert "class_numbers" not in text and "array" not in text
     assert len(report().class_numbers) > 1
+
+
+def test_matching_report_has_no_counterexample():
+    assert report().all_match
+    assert report().counterexample is None
