@@ -11,7 +11,7 @@ import math
 import sys
 from array import array
 from functools import reduce
-from itertools import count
+from itertools import compress, count
 from operator import add
 
 # Factoring is deterministic trial division; anything past this bound is
@@ -110,15 +110,14 @@ def factor(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def smallest_prime_factors(x: int) -> array:
-    """spf[n] = the smallest prime factor of n for 2 <= n <= x (spf[0] = spf[1] = 0)."""
-    spf = array("q", bytes(8 * (x + 1)))
-    for p in range(2, x + 1):
-        if spf[p] == 0:
-            for k in range(p, x + 1, p):
-                if spf[k] == 0:
-                    spf[k] = p
-    return spf
+def primes_up_to(x: int) -> list[int]:
+    """The primes p <= x in increasing order, from a sieve of one byte per n."""
+    # 0 and 1 are not prime; for x < 2, compress stops at the end of the range
+    sieve = bytearray(2) + bytearray([1]) * (x - 1)
+    for p in range(2, math.isqrt(x) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, x + 1, p)))
+    return list(compress(range(x + 1), sieve))
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -4,9 +4,10 @@ Class numbers and Hurwitz numbers come one value at a time, with no state
 kept (``class_number``, ``hurwitz``), or as per-run tables
 (``class_number_table``, ``hurwitz_table``) built from one count of the
 reduced forms of every discriminant up to a bound (``form_count_table``):
-h by Moebius inversion over square divisors, 12H directly from the count.
-The count adds bytes along strided slices and moves them into the 32-bit
-fields of one int (``arith.unpack_fields``) before any byte could wrap.
+h by Moebius inversion over square divisors, one prime at a time, and 12H
+directly from the count.  The count adds bytes along strided slices and
+moves them into the 32-bit fields of one int (``arith.unpack_fields``)
+before any byte could wrap.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
-from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, smallest_prime_factors, unpack_fields
+from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, primes_up_to, unpack_fields
 
 
 class BQF(NamedTuple):
@@ -155,22 +156,16 @@ def class_number_table(x: int) -> array:
     """h(-k) for 0 <= k <= x as an array indexed by k (0 where -k is not a
     discriminant, and at k = 0).
 
-    The Moebius inversion h(-k) = sum over g**2 | k of mu(g) times the form
-    count of -k/g**2 (``form_count_table``), one slice per squarefree
-    g <= sqrt(x).  Rejects x > arith.TABLE_BOUND.
+    The form count of -k (``form_count_table``) is the sum of h(-k/g**2)
+    over g**2 | k.  With T_p the map that moves entry k to entry p**2*k, the
+    class numbers are the product over primes p <= sqrt(x) of (1 - T_p)
+    applied to the counts: Moebius inversion over the square divisors, one
+    slice per prime.  Rejects x > arith.TABLE_BOUND.
     """
-    counts = form_count_table(x)
-    table = counts.tolist()
-    root = math.isqrt(x)
-    spf = smallest_prime_factors(root)
-    mu = [0, 1] + [0] * (root - 1)
-    for g in range(2, root + 1):
-        p = spf[g]
-        mu[g] = 0 if (g // p) % p == 0 else -mu[g // p]
-        if mu[g]:
-            square = g * g
-            table[::square] = map(add if mu[g] > 0 else sub, table[::square],
-                                  counts[:x // square + 1])
+    table = form_count_table(x).tolist()
+    for p in primes_up_to(math.isqrt(x)):
+        square = p * p
+        table[square::square] = map(sub, table[square::square], table[1:x // square + 1])
     return array("q", table)
 
 

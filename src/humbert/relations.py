@@ -23,11 +23,12 @@ included, into the signed theta kernel of the Cohen coefficients
 ``verify_kronecker`` builds its rows from integer columns.  In the rows of
 both, the match is one integer equality over the one denominator, and a
 matching row's ``lhs`` and ``rhs`` are one ``Fraction``.
-``lattice_sum`` evaluates one row point by point and keeps no state; the
-tables, built per run, are the only reuse.  ``verify_relation`` walks the
-first mismatching row once with it: that one walk confirms the table row's
-left-hand side and term count, and its nonzero terms are the counterexample
-the report carries.  A failed cross-check raises ``InternalCheckError``.
+``lattice_sum`` evaluates one row point by point into one total and the
+tuple of its nonzero terms, and keeps no state; the tables, built per run,
+are the only reuse.  ``verify_relation`` walks the first mismatching row
+once with it: that one walk confirms the table row's left-hand side and
+term count, and its nonzero terms are the counterexample the report
+carries.  A failed cross-check raises ``InternalCheckError``.
 ``verification_row`` is the tests' point-by-point reference for a whole row.
 """
 
@@ -56,16 +57,22 @@ from .shimura import (
 
 
 class LatticeSum(NamedTuple):
-    """Breakdown of the left-hand lattice sum."""
+    """The left-hand lattice sum of one row, walked point by point."""
 
     value: Fraction
-    interior_sum: Fraction
-    boundary_sum: Fraction
-    nonzero_interior_terms: int
-    boundary_terms: int
     points_visited: int
-    terms: tuple[tuple[int, int, Fraction, Fraction], ...] = ()
-    # terms: (u, v, m, contribution) for every nonzero term, when collected
+    # (u, v, m, contribution) for every nonzero term; a boundary point
+    # (m = 0) contributes the nonzero volume term, so every one is here
+    terms: tuple[tuple[int, int, Fraction, Fraction], ...]
+
+    @property
+    def boundary_terms(self) -> int:
+        """The number of terms with m = 0, on the boundary Q(v, u) = 4*D0*n."""
+        return sum(1 for term in self.terms if term[2] == 0)
+
+    @property
+    def nonzero_interior_terms(self) -> int:
+        return len(self.terms) - self.boundary_terms
 
 
 class VerificationRow(NamedTuple):
@@ -98,7 +105,7 @@ class VerificationReport(NamedTuple):
     # k = 0 when every form is skipped)
     class_numbers: array
     # the lattice sum of the first mismatching row, walked point by point
-    # with its terms collected; None when every row matches
+    # with its nonzero terms; None when every row matches
     counterexample: LatticeSum | None
 
     @property
@@ -119,13 +126,14 @@ class KroneckerRow(NamedTuple):
     match: bool
 
 
-def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> LatticeSum:
+def lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
     """Evaluate the left-hand side sum with exact enumeration.
 
     The sum runs over integer pairs (u, v) with u = a*n, v = c*n mod 2
     (a, c the outer coefficients of the form) and Q(v, u) <= 4*D0*n, each
     term contributing the weighted class number at D0*n - Q(v, u)/4; terms
-    with a non-integral or inadmissible argument contribute zero.
+    with a non-integral or inadmissible argument contribute zero.  Returns
+    the sum, the number of points visited and the nonzero terms.
     """
     if form.D == 1:
         raise ValueError("relation requires D > 1")
@@ -141,10 +149,7 @@ def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> Latt
 
     u_par = (a * n) % 2
     v_par = (c * n) % 2
-    interior = Fraction(0)
-    boundary = Fraction(0)
-    nonzero_interior = 0
-    boundary_count = 0
+    total = Fraction(0)
     visited = 0
     terms = []
     umax = math.isqrt(a * n)
@@ -164,26 +169,11 @@ def lattice_sum(form: EligibleForm, n: int, collect_terms: bool = False) -> Latt
                 visited += 1
                 m = Fraction(bound - value, 4)
                 h = weighted_class_number(level, m)
-                if value == bound:
-                    boundary += h
-                    boundary_count += 1
-                    if collect_terms:
-                        terms.append((u, v, m, h))
-                elif h != 0:
-                    interior += h
-                    nonzero_interior += 1
-                    if collect_terms:
-                        terms.append((u, v, m, h))
+                if h != 0:
+                    total += h
+                    terms.append((u, v, m, h))
             v += 2
-    return LatticeSum(
-        value=interior + boundary,
-        interior_sum=interior,
-        boundary_sum=boundary,
-        nonzero_interior_terms=nonzero_interior,
-        boundary_terms=boundary_count,
-        points_visited=visited,
-        terms=tuple(terms),
-    )
+    return LatticeSum(value=total, points_visited=visited, terms=tuple(terms))
 
 
 def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
@@ -294,9 +284,9 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     2**#{q | D0 : q | m} at m = D0*n - j, which equals 2**#{q | D0 : q | j},
     so each T[j] is multiplied by it once.  The forms are summed level by
     level, one table held at a time.  The first mismatching row is walked
-    once by ``lattice_sum`` with its terms collected: that walk must agree
-    with the row's lhs and term count, or ``InternalCheckError`` is raised,
-    and it is the report's ``counterexample``.  Rejects D0*nmax >
+    once by ``lattice_sum``: that walk must agree with the row's lhs and
+    term count, or ``InternalCheckError`` is raised, and it is the report's
+    ``counterexample``, nonzero terms included.  Rejects D0*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
@@ -367,7 +357,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     counterexample = None
     if mismatch is not None:
         form = next(f for f in forms if f.form == mismatch.form)
-        counterexample = lattice_sum(form, mismatch.n, collect_terms=True)
+        counterexample = lattice_sum(form, mismatch.n)
         if (counterexample.value, counterexample.points_visited) != (mismatch.lhs, mismatch.term_count):
             raise InternalCheckError(
                 f"table row disagrees with the lattice sum at D0={d0} form={mismatch.form} "

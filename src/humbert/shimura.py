@@ -40,7 +40,7 @@ from .arith import (
     is_squarefree,
     kronecker,
     prime_divisors,
-    smallest_prime_factors,
+    primes_up_to,
 )
 
 
@@ -190,9 +190,8 @@ def level_tables(levels: list[ShimuraLevel],
         for start, step in classes[q][0]:
             shared[start::step] = map(rshift, shared[start::step], repeat(1))
     shared = array("q", shared)
-    # c[k] = 0 for k < 3, so only squares p**2 <= x/3 add anything
-    spf = smallest_prime_factors(math.isqrt(x // 3))
-    sieve_primes = [p for p in range(2, len(spf)) if spf[p] == p]
+    # c[k] = 0 for k < 3, so only the primes with p**2 <= x/3 add anything
+    sieve_primes = primes_up_to(math.isqrt(x // 3))
 
     def tables() -> Iterator[tuple[ShimuraLevel, array]]:
         for i, level in enumerate(levels, 1):

@@ -1,5 +1,6 @@
 import math
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from humbert.arith import (
     is_squarefree,
     kronecker,
     prime_divisors,
+    primes_up_to,
     shifted_sum,
     sigma,
     sigma_table,
@@ -30,6 +32,13 @@ def smallest_prime_factor_sieve(limit):
                 if spf[k] == k:
                     spf[k] = p
     return spf
+
+
+def test_primes_up_to_matches_sieve():
+    spf = smallest_prime_factor_sieve(2000)
+    primes = [p for p in range(2, 2001) if spf[p] == p]
+    for x in range(2001):
+        assert primes_up_to(x) == primes[:bisect_right(primes, x)], x
 
 
 def test_factor_examples():

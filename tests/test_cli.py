@@ -54,6 +54,24 @@ def test_hurwitz_and_classnum(capsys):
     assert code == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    # the command of README's Example block with its output, and the two
+    # "# ->" comments of its CLI block
+    text = README.read_text()
+    example = text.split("\n## Example\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    command, expected = example.split("\n", 1)
+    assert command.startswith("$ humbert ")
+    assert run(capsys, *command.split()[2:])[:2] == (0, expected)
+    cli_block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    claims = re.findall(r"^humbert (.+?) +# -> (\S+)$", cli_block, re.M)
+    assert claims == [("hurwitz 4", "1/2"), ("classnum -160", "4")]
+    for argv, value in claims:
+        assert run(capsys, *argv.split())[:2] == (0, value + "\n")
+
+
 def test_hdn_command(capsys):
     assert run(capsys, "hdn", "10", "1", "8")[1].strip() == "1"
     assert run(capsys, "hdn", "10", "1", "0")[1].strip() == "-1/3"
@@ -180,9 +198,9 @@ def test_verify_mismatch_walks_its_row_once(capsys, monkeypatch):
     real_walk = relations.lattice_sum
     real_forms = relations.eligible_forms
 
-    def walk(form, n, collect_terms=False):
-        walks.append((form.form, n, collect_terms))
-        return real_walk(form, n, collect_terms)
+    def walk(form, n):
+        walks.append((form.form, n))
+        return real_walk(form, n)
 
     def forms(d0):
         enumerations.append(d0)
@@ -195,7 +213,7 @@ def test_verify_mismatch_walks_its_row_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--d0", "15", "--nmax", "20")
     assert code == 1
     assert "counterexample: D0=15 form=(5,0,12) n=5 " in out
-    assert walks == [(bqf.BQF(5, 0, 12), 5, True)]
+    assert walks == [(bqf.BQF(5, 0, 12), 5)]
     assert enumerations == [15]
 
 

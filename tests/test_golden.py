@@ -197,6 +197,38 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
         assert type(value) in (int, float) and math.isfinite(value), (name, value)
 
 
+TRACED_WALK = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from humbert import relations
+from humbert.bqf import BQF
+from humbert.genus import eligible_forms
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+for d0, form, n in json.loads(sys.argv[3]):
+    relations.lattice_sum(next(f for f in eligible_forms(d0) if f.form == BQF(*form)), n)
+print(json.dumps({"report": tracer.report(), "broken": sorted(tracer.broken)}))
+"""
+
+
+def test_tracer_reads_a_lattice_walk(tmp_path):
+    # No benchmark workload walks a lattice, so this is the one check that
+    # the tracer's hook still fits what relations.lattice_sum returns:
+    # (5,0,8) of D0 = 10 at n = 5 visits 26 points with 22 nonzero terms,
+    # the four-times form (8,4,8) of D0 = 15 at n = 9 visits 59, all nonzero.
+    walks = [[10, [5, 0, 8], 5], [15, [8, 4, 8], 9]]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_WALK, str(ROOT / "src"), str(ROOT / "bench"), json.dumps(walks)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert "relations.lattice_sum" not in result["broken"]
+    assert result["report"]["relations.points_visited"] == 85
+    assert result["report"]["relations.useful_term_ratio"] == 81 / 85
+
+
 def record() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in CASES:

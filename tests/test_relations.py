@@ -25,7 +25,7 @@ F10 = form_of(10, (5, 0, 8))
 def test_worked_instance():
     # hand evaluation: (u,v) = (+-1, 0) give 2 * H(8) = 2 and (+-1, +-2) give
     # 4 * H(3) = 4/3, so the sum is 10/3; the right side is (-10) * (-1/3)
-    stats = lattice_sum(F10, 1, collect_terms=True)
+    stats = lattice_sum(F10, 1)
     assert stats.value == Fraction(10, 3)
     assert stats.nonzero_interior_terms == 6
     assert stats.boundary_terms == 0
@@ -65,18 +65,43 @@ def test_boundary_terms_instance():
     # points, each contributing the volume term
     stats = lattice_sum(F10, 5)
     assert stats.boundary_terms == 2
-    assert stats.boundary_sum == 2 * volume_term(ShimuraLevel(10, 1))
-    assert stats.interior_sum + stats.boundary_sum == stats.value
+    boundary_sum = sum(h for u, v, m, h in stats.terms if m == 0)
+    assert boundary_sum == 2 * volume_term(ShimuraLevel(10, 1))
+    assert sum(h for u, v, m, h in stats.terms) == stats.value
     assert stats.value == verification_row(F10, 5).rhs
 
 
 def test_every_nonzero_term_has_admissible_argument():
     for n in (1, 4, 5, 8):
-        stats = lattice_sum(F10, n, collect_terms=True)
+        stats = lattice_sum(F10, n)
         for u, v, m, h in stats.terms:
             assert h != 0
             assert m.denominator == 1 and m >= 0
             assert m == 0 or (-m) % 4 in (0, 1)
+
+
+def test_boundary_terms_are_the_m_zero_terms():
+    # every boundary point, Q(v, u) = 4*D0*n, contributes the nonzero volume
+    # term, so the walk keeps each of them among its nonzero terms
+    for d0 in (10, 15, 35):
+        for form in eligible_forms(d0):
+            if form.D == 1:
+                continue
+            a, b, c = form.form
+            volume = volume_term(ShimuraLevel(form.D, form.N))
+            for n in range(1, 25):
+                if n % 4 in (2, 3):
+                    continue
+                stats = lattice_sum(form, n)
+                assert stats.boundary_terms + stats.nonzero_interior_terms == len(stats.terms)
+                assert all(h == volume for u, v, m, h in stats.terms if m == 0)
+                # the boundary points of the row's parity class, by a box count
+                umax, vmax = math.isqrt(a * n), math.isqrt(c * n)
+                on_boundary = sum(
+                    1 for u in range(-umax, umax + 1) for v in range(-vmax, vmax + 1)
+                    if (u - a * n) % 2 == 0 and (v - c * n) % 2 == 0
+                    and a * v * v + b * v * u + c * u * u == 4 * d0 * n)
+                assert stats.boundary_terms == on_boundary, (d0, form.form, n)
 
 
 def box_sum(form, n):

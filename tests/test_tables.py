@@ -22,7 +22,6 @@ from humbert.arith import (
     kronecker,
     prime_divisors,
     sigma,
-    smallest_prime_factors,
 )
 from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
 from humbert.genus import eligible_forms
@@ -40,6 +39,7 @@ from humbert.shimura import (
     volume_term,
     weighted_class_number,
 )
+from test_arith import smallest_prime_factor_sieve
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
 LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)
@@ -147,8 +147,9 @@ def _embedding_counts(key, in_d):
 
 def level_tables_oracle(levels, class_numbers):
     # level_tables one m at a time: the fundamental decomposition of -m from
-    # a smallest-prime-factor sieve, the symbols (d0|q), and the sum over the
-    # orders between -m and d0 of h times the local embedding counts
+    # the smallest-prime-factor sieve of tests/test_arith.py, the symbols
+    # (d0|q), and the sum over the orders between -m and d0 of h times the
+    # local embedding counts
     (product,) = {level.product for level in levels}
     x = len(class_numbers) - 1
     primes = prime_divisors(product)
@@ -160,7 +161,7 @@ def level_tables_oracle(levels, class_numbers):
     tables = [[0] * (x + 1) for _ in levels]
     for table, level in zip(tables, levels):
         table[0] = int(denominator * volume_term(level))
-    spf = smallest_prime_factors(x)
+    spf = smallest_prime_factor_sieve(x)
     for m in range(3, x + 1):
         if m % 4 in (1, 2):
             continue
@@ -335,6 +336,15 @@ def test_class_number_table_matches_conductor_formula():
         assert h[k] == expected, k
         checked += 1
     assert checked == 4121
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_class_number_table_at_slice_boundaries(p):
+    # the inversion makes one slice from p**2 per prime p <= sqrt(x), so
+    # x = p**2 - 1, p**2 and p**2 + 1 each start, or just miss, the slice of p
+    full = h_table(3000)
+    for x in (p * p - 1, p * p, p * p + 1):
+        assert class_number_table(x) == full[:x + 1], x
 
 
 def test_h_table_bounds():
