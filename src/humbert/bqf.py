@@ -158,12 +158,13 @@ def class_number_table(x: int) -> array:
 
     The form count of -k (``form_count_table``) is the sum of h(-k/g**2)
     over g**2 | k.  With T_p the map that moves entry k to entry p**2*k, the
-    class numbers are the product over primes p <= sqrt(x) of (1 - T_p)
+    class numbers are the product over primes p <= sqrt(x/3) of (1 - T_p)
     applied to the counts: Moebius inversion over the square divisors, one
-    slice per prime.  Rejects x > arith.TABLE_BOUND.
+    slice per prime.  A larger prime would only subtract the counts at k = 1
+    and 2, which are 0.  Rejects x > arith.TABLE_BOUND.
     """
     table = form_count_table(x).tolist()
-    for p in primes_up_to(math.isqrt(x)):
+    for p in primes_up_to(math.isqrt(x // 3)):
         square = p * p
         table[square::square] = map(sub, table[square::square], table[1:x // square + 1])
     return array("q", table)

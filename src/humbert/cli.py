@@ -22,8 +22,9 @@ from .qseries import cohen_coefficients
 from .shimura import ShimuraLevel, weighted_class_number
 
 CACHE_ENV_VAR = "HUMBERT_CACHE"
-CACHE_HEADER = "humbert-classnum-cache"
-CACHE_VERSION = 1
+# A cache file is this line, then h(-k) for k = 0..X as 8-byte signed
+# little-endian fields (the run's class_number_table).
+CACHE_HEADER = b"humbert-classnum-cache 2\n"
 
 SELFCHECK_D0 = (10, 15, 21, 33)
 
@@ -32,50 +33,55 @@ SELFCHECK_D0 = (10, 15, 21, 33)
 # class-number cache file
 
 
+def _little_endian(fields: array) -> array:
+    """``fields`` on a little-endian host, else a byte-swapped copy: the
+    same array either way round between memory and a cache file."""
+    if sys.byteorder == "big":
+        fields = array(fields.typecode, fields)
+        fields.byteswap()
+    return fields
+
+
 def load_cache(path: str, class_numbers: array) -> None:
     """Check a class-number cache file against the run's table of h(-k)
     (``bqf.class_number_table``); entries that disagree are reported and
-    dropped, and no entry is ever used for a result.  A corrupt file is
-    ignored entirely."""
+    dropped, and no entry is ever used for a result.  A file with another
+    header (such as the text format of version 1) or a partial field is
+    ignored entirely, and entries past the table are not checked."""
     if not os.path.exists(path):
         return
-    entries: dict[int, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2 or header[0] != CACHE_HEADER or int(header[1]) != CACHE_VERSION:
+        with open(path, "rb") as fh:
+            if fh.readline() != CACHE_HEADER:
                 raise ValueError("bad header")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d_str, h_str = line.split()
-                d, h = int(d_str), int(h_str)
-                if d >= 0 or h < 0:
-                    raise ValueError("bad entry")
-                entries[d] = h
+            body = fh.read()
+        if len(body) % 8:
+            raise ValueError("partial entry")
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
         return
-    for d, h in sorted(entries.items(), reverse=True):
-        if -d < len(class_numbers) and class_numbers[-d] != h:
-            print(f"warning: dropping cache entry h({d}) = {h}: the class number is "
-                  f"{class_numbers[-d]}", file=sys.stderr)
+    table = _little_endian(class_numbers).tobytes()
+    common = min(len(body), len(table))
+    if body[:common] == table[:common]:
+        return
+    cached = _little_endian(array("q", body[:common]))
+    for k, (h, true_h) in enumerate(zip(cached, class_numbers)):
+        if h != true_h:
+            print(f"warning: dropping cache entry h({-k}) = {h}: the class number is "
+                  f"{true_h}", file=sys.stderr)
 
 
 def save_cache(path: str, class_numbers: array) -> None:
-    """Atomically write the run's class numbers h(-k) (write-temp-then-rename)."""
+    """Atomically write the run's class numbers h(-k), 0 <= k <= X, in the
+    ``CACHE_HEADER`` format (write-temp-then-rename)."""
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
     tmp = ""
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{CACHE_HEADER} {CACHE_VERSION}\n")
-            for k in range(len(class_numbers) - 1, 0, -1):
-                if class_numbers[k]:
-                    fh.write(f"{-k} {class_numbers[k]}\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CACHE_HEADER + _little_endian(class_numbers).tobytes())
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)

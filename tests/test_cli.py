@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cache_file(fields) -> bytes:
+    """A class-number cache file holding ``fields`` as h(-k), k = 0, 1, ..."""
+    body = array("q", fields)
+    if sys.byteorder == "big":
+        body.byteswap()
+    return b"humbert-classnum-cache 2\n" + body.tobytes()
 
 
 def test_cohen_text(capsys):
@@ -337,8 +346,7 @@ def test_cache_roundtrip(tmp_path, capsys):
     code1, out1, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20",
                          "--cache", str(cache))
     assert code1 == 0 and cache.exists()
-    text = cache.read_text()
-    assert text.startswith("humbert-classnum-cache 1\n")
+    assert cache.read_bytes().startswith(b"humbert-classnum-cache 2\n")
     # reload with the populated cache: byte-identical output
     code2, out2, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20",
                          "--cache", str(cache))
@@ -382,13 +390,73 @@ def test_cache_in_missing_directory_warns_and_exits_0(tmp_path, capsys, monkeypa
 
 def test_tampered_cache_cannot_change_result(tmp_path, capsys):
     cache = tmp_path / "tampered.txt"
-    cache.write_text("humbert-classnum-cache 1\n-40 9\n")   # h(-40) is 2
+    fields = list(bqf.class_number_table(80))
+    fields[40] = 9   # h(-40) is 2
+    cache.write_bytes(cache_file(fields))
     tampered = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
     clean = run(capsys, "verify", "--d0", "10", "--nmax", "8")
     assert tampered[:2] == clean[:2]
     assert clean[0] == 0
     assert "dropping cache entry h(-40) = 9" in tampered[2]
-    assert "\n-40 2\n" in cache.read_text()
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))   # h(-40) = 2 again
+
+
+def test_cache_file_is_the_table(tmp_path, capsys):
+    cache = tmp_path / "classnums.bin"
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "20", "--cache", str(cache))
+    assert (code, err) == (0, "")
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(200))
+
+
+def test_cache_from_a_larger_run_is_cut_to_this_run(tmp_path, capsys):
+    # entries past this run's table are not checked, and the rewrite drops them
+    cache = tmp_path / "classnums.bin"
+    cache.write_bytes(cache_file(bqf.class_number_table(200)))
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    assert (code, err) == (0, "")
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
+
+
+def test_cache_from_a_smaller_run_is_accepted(tmp_path, capsys):
+    cache = tmp_path / "classnums.bin"
+    cache.write_bytes(cache_file(bqf.class_number_table(30)))
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    assert (code, err) == (0, "")
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
+
+
+def test_cache_with_a_partial_field_is_ignored(tmp_path, capsys):
+    cache = tmp_path / "classnums.bin"
+    cache.write_bytes(cache_file(bqf.class_number_table(80))[:-3])
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    assert code == 0
+    assert err.startswith(f"warning: ignoring corrupt cache file {cache}: ")
+    assert err.count("\n") == 1
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
+
+
+def test_every_tampered_cache_entry_is_reported_in_order(tmp_path, capsys):
+    cache = tmp_path / "classnums.bin"
+    fields = list(bqf.class_number_table(80))
+    assert (fields[6], fields[40]) == (0, 2)
+    fields[6], fields[40] = 5, 9
+    cache.write_bytes(cache_file(fields))
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: dropping cache entry h(-6) = 5: the class number is 0",
+        "warning: dropping cache entry h(-40) = 9: the class number is 2",
+    ]
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
+
+
+def test_version_1_cache_is_ignored_and_replaced(tmp_path, capsys):
+    cache = tmp_path / "classnums.txt"
+    cache.write_text("humbert-classnum-cache 1\n-3 1\n-4 1\n")
+    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    assert code == 0
+    assert err == f"warning: ignoring corrupt cache file {cache}: bad header\n"
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
 def test_selfcheck_single_d0(capsys):

@@ -347,6 +347,15 @@ def test_class_number_table_at_slice_boundaries(p):
         assert class_number_table(x) == full[:x + 1], x
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_class_number_table_at_sieve_bound(p):
+    # the inversion slices only at primes p with 3*p**2 <= x, so x = 3*p**2 - 1
+    # leaves p out and x = 3*p**2 and 3*p**2 + 1 take it in
+    full = h_table(3000)
+    for x in (3 * p * p - 1, 3 * p * p, 3 * p * p + 1):
+        assert class_number_table(x) == full[:x + 1], x
+
+
 def test_h_table_bounds():
     assert list(class_number_table(0)) == [0]
     with pytest.raises(ValueError, match="too large"):
