@@ -1,8 +1,8 @@
 """Exact integer kernel: factorization, Kronecker symbols, discriminant helpers.
 
 Everything here works on plain Python ints (arbitrary precision) and
-``fractions.Fraction``; no floating point anywhere.  Only ``unpack_fields``
-and ``shifted_sum`` know the packed-field format: signs, item sizes, byte order.
+``fractions.Fraction``; no floating point anywhere.  Only ``pack_fields`` and
+``unpack_fields`` know the packed-field format: signs, item sizes, byte order.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, count
 from operator import add
 
@@ -28,8 +28,9 @@ CLASS_NUMBER_BOUND = 10**9
 # X = 10**5, 0.10 s at 2*10**5 and 0.23 s at 5*10**5 (process peak 33 MiB),
 # and verify holds two level tables of 8*X bytes at a time, whatever the
 # number of levels.  Near the bound, verify 1155 --nmax 432 (7 levels) took
-# 2.6-3.1 s and 38 MiB, verify 30030 --nmax 16 (31 levels) 1.4-2.1 s and
-# 35 MiB, and kronecker --nmax 125000 2.0 s and 66 MiB.
+# 1.3 s and 39 MiB, verify 30030 --nmax 16 (31 levels) 1.2-1.3 s and 35 MiB,
+# verify 6 --nmax 83333 (one level, 41,668 rows) 2.9 s and 52 MiB, and
+# kronecker --nmax 125000 1.4-1.6 s and 59 MiB.
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On
@@ -260,12 +261,38 @@ def unpack_fields(value: int, length: int, width: int) -> array:
     return fields
 
 
+def pack_fields(column: list[int] | array) -> int:
+    """The int sum of column[i] * 2**(64*i): each entry one signed 64-bit
+    field, so that ``unpack_fields(pack_fields(column), len(column), 8)``
+    gives the column back, and sums and products of packed columns are
+    packed sums and convolutions wherever every field stays in range.
+    """
+    packed = array("q", column)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    # XOR with 2**63 in every 64-bit field turns two's complement fields
+    # into offset binary
+    offset = (_short_sign_bits if len(packed) <= 1024 else _sign_bits)(len(packed))
+    return (int.from_bytes(packed, "little") ^ offset) - offset
+
+
+def _sign_bits(length: int) -> int:
+    # 2**63 in each of ``length`` 64-bit fields
+    return int.from_bytes((bytes(7) + b"\x80") * length, "little")
+
+
+# The row products pack hundreds of short columns of one or two lengths per
+# progression, and making their offset took about a third of each pack at 25
+# fields.  A long column's offset is not kept: it can take megabytes.
+_short_sign_bits = lru_cache(maxsize=8)(_sign_bits)
+
+
 def shifted_sum(terms: list[tuple[list[int] | array, list[int]]], length: int) -> array:
     """Entry n < length of the sum over (column, shifts) in ``terms`` and s in
-    shifts of column[n - s], by Kronecker substitution: each column is the int
-    sum of column[i] * 2**(64*i), read as offset binary, and each shift one
-    big-int add.  Signed entries are exact; raises InternalCheckError unless
-    the largest |entry| times the number of shifts is below 2**63.
+    shifts of column[n - s], by Kronecker substitution: each column packed
+    (``pack_fields``) and each shift one big-int add.  Signed entries are
+    exact; raises InternalCheckError unless the largest |entry| times the
+    number of shifts is below 2**63.
     """
     terms_count = sum(len(shifts) for _, shifts in terms)
     if any(max(max(column, default=0), -min(column, default=0)) * terms_count >= 1 << 63
@@ -273,13 +300,6 @@ def shifted_sum(terms: list[tuple[list[int] | array, list[int]]], length: int) -
         raise InternalCheckError(f"a sum of {terms_count} shifted columns does not fit 64-bit fields")
     total = 0
     for column, shifts in terms:
-        packed = array("q", column)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        # XOR with 2**63 in every 64-bit field turns two's complement fields
-        # into offset binary
-        offset = int.from_bytes((bytes(7) + b"\x80") * len(packed), "little")
-        value = (int.from_bytes(packed, "little") ^ offset) - offset
-        del packed, offset  # freed before the shifted copies are made
+        value = pack_fields(column)
         total += sum(value << 64 * shift for shift in shifts)
     return unpack_fields(total, length, 8)

@@ -73,15 +73,20 @@ def load_cache(path: str, class_numbers: array) -> None:
 
 def save_cache(path: str, class_numbers: array) -> None:
     """Atomically write the run's class numbers h(-k), 0 <= k <= X, in the
-    ``CACHE_HEADER`` format (write-temp-then-rename)."""
+    ``CACHE_HEADER`` format (write-temp-then-rename), with the mode that
+    ``open(path, "wb")`` would give a new file: 0o666 less the umask."""
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
     tmp = ""
+    # mkstemp makes the file 0o600, and the rename keeps that mode
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(CACHE_HEADER + _little_endian(class_numbers).tobytes())
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)

@@ -16,7 +16,11 @@ built once per call (``bqf.class_number_table`` and ``bqf.hurwitz_table``).
 (``shimura.level_tables``), enumerates half of each form's lattice,
 Q(-v, -u) = Q(v, u), once for all n, folds the 2-power that the level
 tables leave out into the lattice counts, and reads a_n from one
-``cohen_coefficients`` list;
+``cohen_coefficients`` list.  It sums the rows n = 1 mod 4, and those with
+n = 0 mod 4, as one progression each: term by term, or, when the terms
+outnumber PRODUCT_TERMS_PER_RESIDUE times the residues mod 4*D0 that the
+shifts can fill, as one packed product per residue (Kronecker
+substitution; ``arith.pack_fields``);
 ``verify_kronecker`` packs two columns of the 12H table, 12*H(0) = -1
 included, into the signed theta kernel of the Cohen coefficients
 (``arith.shifted_sum``), and adds its divisor sums as strided slices.
@@ -39,11 +43,19 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, filterfalse, repeat
-from operator import add, eq, floordiv, lshift, mod, mul
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import add, eq, floordiv, lshift, mod, mul, sub
 from typing import NamedTuple
 
-from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, shifted_sum, sigma_table
+from .arith import (
+    TABLE_BOUND,
+    InternalCheckError,
+    pack_fields,
+    prime_divisors,
+    shifted_sum,
+    sigma_table,
+    unpack_fields,
+)
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
@@ -272,6 +284,68 @@ def _theta_class(form: EligibleForm, nmax: int, u_par: int,
     return shifts, counts
 
 
+# The rows of a progression take the product path when they read more than
+# this many terms per product (per residue class mod 4*D0 that the shifts
+# can fill).  Timed over all progressions of a run, best of 15 (Python
+# 3.11.7, 2-vCPU Xeon VM), products against terms: the composite D0 <= 30
+# at nmax 100, 19-49 terms per product, 3.2 against 4.9 ms; 210/100 and
+# 1155/100, about 13, 8.1 against 9.7 and 79 against 87 ms; 210/60 and
+# 1155/60, about 8, 5.2 against 3.7 and 46 against 33 ms; 1155/20, 1190/20
+# and 30030/16, 2-3, six to seven times slower; 6/2000, about 13,000,
+# eleven times faster.  The two cost the same near 12.
+PRODUCT_TERMS_PER_RESIDUE = 12
+
+
+def _direct_sums(table: array, shifts: list[int], counts: list[int], xs, ks) -> list[int]:
+    # Row x is the sum of counts[i] * table[x - shifts[i]] over i < k, one
+    # interpreted step per term.
+    return [sum(counts[i] * table[x - shifts[i]] for i in range(k)) for x, k in zip(xs, ks)]
+
+
+def _product_sums(table: array, shifts: list[int], counts: list[int], xs: range,
+                  ks: list[int]) -> array:
+    # The rows of _direct_sums over x = x0 + step*k, one big-int product per
+    # residue r mod step.  A shift s reads table[x - s] = col[k - e] with col
+    # = table[r::step], r = (x0 - s) mod step and e = (s + r - x0) / step,
+    # an integer >= -1 (-1 only for s = 0 and r = 0 when x0 = step).  So the
+    # weights of residue r, each packed into field e + 1, times the packed
+    # column hold row k in field k + 1, and the products add up over r.
+    x0, step, last = xs[0], xs.step, xs[-1]
+    shifts, counts = shifts[:ks[-1]], counts[:ks[-1]]
+    residues = set(map(mod, map(sub, repeat(x0), shifts), repeat(step)))
+    columns = [table[r:last + 1:step] for r in residues]
+    largest = max(map(abs, chain.from_iterable(columns)), default=0)
+    if largest * sum(counts) >= 1 << 63:
+        raise InternalCheckError(f"a row sum of {sum(counts)} weighted terms does not fit "
+                                 f"64-bit fields")
+    weights = array("q", [0]) * (last + 1)
+    for s, count in zip(shifts, counts):
+        weights[s] = count
+    total = 0
+    for r, column in zip(residues, columns):
+        first = (x0 - r) % step
+        lift = (first + r - x0) // step + 1
+        total += (pack_fields(weights[first::step]) << 64 * lift) * pack_fields(column)
+    sums = unpack_fields(total, len(xs) + 1, 8)[1:]
+    # the first and the last row once more, term by term
+    ends = [sums[0], sums[-1]]
+    direct = _direct_sums(table, shifts, counts, (x0, last), (ks[0], ks[-1]))
+    if ends != direct:
+        raise InternalCheckError(f"row products disagree with the direct sums at x = {x0} "
+                                 f"and {last}: {ends} != {direct}")
+    return sums
+
+
+def _row_sums(table: array, shifts: list[int], counts: list[int], xs: range,
+              ks: list[int]) -> list[int] | array:
+    # The rows x in xs, of step 4*D0, by whichever path costs less: the direct
+    # path reads sum(ks) terms, the product path makes at most one product
+    # per residue r mod 4*D0 of a shift <= xs[-1].
+    if sum(ks) > PRODUCT_TERMS_PER_RESIDUE * min(xs.step, ks[-1]):
+        return _product_sums(table, shifts, counts, xs, ks)
+    return _direct_sums(table, shifts, counts, xs, ks)
+
+
 def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> VerificationReport:
     """Verify the relation for every eligible form of the given D0 with D > 1
     and every n <= nmax congruent to 0 or 1 mod 4, or only for the
@@ -283,10 +357,18 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     lattice is enumerated at most twice.  The level tables lack the factor
     2**#{q | D0 : q | m} at m = D0*n - j, which equals 2**#{q | D0 : q | j},
     so each T[j] is multiplied by it once.  The forms are summed level by
-    level, one table held at a time.  The first mismatching row is walked
-    once by ``lattice_sum``: that walk must agree with the row's lhs and
-    term count, or ``InternalCheckError`` is raised, and it is the report's
-    ``counterexample``, nonzero terms included.  Rejects D0*nmax >
+    level, one table held at a time.  The rows n = n0 mod 4 of a form, x =
+    D0*n0 + 4*D0*k for n0 = 1 and 4, read one class and are summed as one
+    progression, by the path the exact counts pick: term by term, sum(ks)
+    terms with ks[k] = bisect_right(shifts, x), or one big-int product per
+    residue mod 4*D0 of the shifts, at most min(4*D0, ks[-1]) of them.  The
+    products run when sum(ks) > PRODUCT_TERMS_PER_RESIDUE times that bound;
+    they re-sum the first and last row term by term and raise
+    ``InternalCheckError`` if either differs, or if a field could overflow.
+    The first mismatching row is walked once by ``lattice_sum``: that walk
+    must agree with the row's lhs and term count, or ``InternalCheckError``
+    is raised, and it is the report's ``counterexample``, nonzero terms
+    included.  Rejects D0*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
@@ -318,14 +400,17 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
         # L times the volume term, for the right-hand side a_n * volume / L
         volume = int(denominator * volume_term(level))
         for form in by_level[level]:
-            rows = form_rows[form.form] = []
             # per parity class: the shifts j, the folded counts, and points[i],
             # the number of lattice points with j < shifts[i] (the term count)
             classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
-            for n in range(1, nmax + 1):
-                if n % 4 in (2, 3):
+            numerators = [0] * (nmax + 1)
+            term_counts = [0] * (nmax + 1)
+            for n0 in (1, 4):
+                # the rows n = n0 mod 4, at x = D0*n; they all read one class
+                xs = range(d0 * n0, d0 * nmax + 1, 4 * d0)
+                if not xs:
                     continue
-                parity = ((form.form.a * n) % 2, (form.form.c * n) % 2)
+                parity = ((form.form.a * n0) % 2, (form.form.c * n0) % 2)
                 if parity not in classes:
                     shifts, counts = _theta_class(form, nmax, *parity)
                     points = list(accumulate(counts, initial=0))
@@ -333,11 +418,17 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                                                           map(mod, shifts, repeat(d0)))))
                     classes[parity] = shifts, counts, points
                 shifts, counts, points = classes[parity]
-                x = d0 * n
-                k = bisect_right(shifts, x)
-                # the boundary points j = x read table[0], 6 times the volume
-                # term, with the weight 2**omega(D0): L times the volume term
-                numerator = sum(counts[i] * table[x - shifts[i]] for i in range(k))
+                # row x reads the shifts j <= x: the boundary points j = x read
+                # table[0], 6 times the volume term, with the weight
+                # 2**omega(D0): L times the volume term
+                ks = list(map(bisect_right, repeat(shifts), xs))
+                numerators[n0::4] = _row_sums(table, shifts, counts, xs, ks)
+                term_counts[n0::4] = map(points.__getitem__, ks)
+            rows = form_rows[form.form] = []
+            for n in range(1, nmax + 1):
+                if n % 4 in (2, 3):
+                    continue
+                numerator = numerators[n]
                 # both sides over the one denominator L: the numerators decide
                 # the match, and a matching row's lhs is its rhs
                 target = cohen[n] * volume
@@ -347,7 +438,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 rows.append(VerificationRow(
                     d0=d0, form=form.form, D=form.D, N=form.N, n=n,
                     lhs=lhs, rhs=rhs, a_n=cohen[n], match=match,
-                    term_count=points[k],
+                    term_count=term_counts[n],
                 ))
     rows = [row for form in forms if form.D > 1 for row in form_rows[form.form]]
     skipped = [SkippedForm(d0=d0, form=form.form, D=form.D, N=form.N,

@@ -459,6 +459,19 @@ def test_version_1_cache_is_ignored_and_replaced(tmp_path, capsys):
     assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_cache_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    # the mode open(path, "wb") gives a new file, not mkstemp's 0o600
+    cache = tmp_path / "classnums.bin"
+    previous = os.umask(umask)
+    try:
+        code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+    finally:
+        os.umask(previous)
+    assert (code, err) == (0, "")
+    assert cache.stat().st_mode & 0o777 == mode
+
+
 def test_selfcheck_single_d0(capsys):
     code, out, _ = run(capsys, "selfcheck", "--d0", "10")
     assert code == 0

@@ -6,11 +6,13 @@ theta column slices, which live here."""
 
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +25,20 @@ from humbert.arith import (
     prime_divisors,
     sigma,
 )
-from humbert.bqf import class_number, class_number_table, form_count_table, hurwitz, hurwitz_table
+from humbert import relations
+from humbert.bqf import (
+    BQF,
+    class_number,
+    class_number_table,
+    form_count_table,
+    hurwitz,
+    hurwitz_table,
+)
+from humbert.cli import main
 from humbert.genus import eligible_forms
 from humbert.relations import (
+    _direct_sums,
+    _product_sums,
     _theta_class,
     _theta_sum,
     verification_row,
@@ -47,6 +60,8 @@ LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)
 # table without the 2-power cannot hold
 TABLE_D0 = LEVEL_D0[1:]
 ROW_D0 = (6, 10, 14, 15, 21, 26, 30, 33, 35, 39)
+# the D0 with a level in the benchmark's sweep (squarefree D0 <= 30, nmax 100)
+SWEEP_D0 = (6, 10, 14, 15, 21, 22, 26, 30)
 
 
 @cache
@@ -340,8 +355,9 @@ def test_class_number_table_matches_conductor_formula():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_class_number_table_at_slice_boundaries(p):
-    # the inversion makes one slice from p**2 per prime p <= sqrt(x), so
-    # x = p**2 - 1, p**2 and p**2 + 1 each start, or just miss, the slice of p
+    # the inversion makes one slice from q**2 per prime q with 3*q**2 <= x,
+    # so at x = p**2 - 1, p**2 and p**2 + 1 it leaves p out, whose slice at
+    # k = p**2 would only take off the zero count at k = 1
     full = h_table(3000)
     for x in (p * p - 1, p * p, p * p + 1):
         assert class_number_table(x) == full[:x + 1], x
@@ -443,6 +459,138 @@ def test_theta_class_matches_oracle(d0, nmax):
             if parity == (0, 0):
                 # the origin, alone in its class under (v, u) -> (-v, -u)
                 assert (shifts[0], counts[0] % 2) == (0, 1)
+
+
+def progression_sums(product, d0, n0, k, table, shifts, counts):
+    # the rows x = D0*n for n = n0, n0 + 4, ..., k of them, by one path
+    xs = range(d0 * n0, d0 * (n0 + 4 * k - 4) + 1, 4 * d0)
+    ks = [bisect_right(shifts, x) for x in xs]
+    return list((_product_sums if product else _direct_sums)(table, shifts, counts, xs, ks))
+
+
+@example(d0=1, n0=1, k=1, data=None)
+@example(d0=1, n0=4, k=2, data=None)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.sampled_from((1, 4)), st.integers(1, 12), st.none() | st.data())
+def test_product_rows_match_direct_rows(d0, n0, k, data):
+    # sparse shifts and counts, some shifts past the last row and most
+    # residues mod 4*D0 empty, against a table whose entry 0 is negative
+    last = d0 * (n0 + 4 * k - 4)
+    if data is None:
+        # the origin alone, read at e = -1 when n0 = 4
+        shifts, counts, table = [0], [3], array("q", [-7, *range(1, last + 1)])
+    else:
+        shifts = sorted(data.draw(st.sets(st.integers(0, last + 8 * d0), max_size=30)))
+        counts = data.draw(st.lists(st.integers(1, 2**20), min_size=len(shifts),
+                                    max_size=len(shifts)))
+        rng = data.draw(st.randoms(use_true_random=False))
+        table = array("q", [-rng.randrange(1, 2**30), *(rng.randrange(2**30) for _ in range(last))])
+    assert (progression_sums(True, d0, n0, k, table, shifts, counts)
+            == progression_sums(False, d0, n0, k, table, shifts, counts))
+
+
+@pytest.mark.parametrize("m,value", [(37, 2**42), (0, -2**42)])
+def test_product_rows_reject_entries_a_field_cannot_hold(m, value):
+    # +-2**42 times counts that sum to 2**21 reaches a 64-bit field's sign bit
+    table = array("q", [-6, *range(1, 41)])
+    table[m] = value
+    shifts, counts = [0, 3, 11], [2**20, 2**19, 2**19]
+    with pytest.raises(InternalCheckError, match="64-bit fields"):
+        progression_sums(True, 2, 4, 5, table, shifts, counts)
+    counts[2] -= 1
+    assert (progression_sums(True, 2, 4, 5, table, shifts, counts)
+            == progression_sums(False, 2, 4, 5, table, shifts, counts))
+
+
+def product_progressions(d0, nmax, only_form=None):
+    # verify_relation's report, and the first x of every progression that it
+    # summed by products
+    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
+        report = verify_relation(d0, nmax, only_form)
+    return report, [call.args[3][0] for call in spy.call_args_list]
+
+
+def progression_count(d0, nmax):
+    # two progressions n = 1 and n = 0 mod 4 per form of D > 1, or one below nmax 4
+    forms = sum(1 for form in eligible_forms(d0) if form.D > 1)
+    return forms * (1 + (nmax >= 4))
+
+
+@pytest.mark.parametrize("d0,nmax", [(1155, 20), (1190, 20), (30030, 16)])
+def test_short_progressions_sum_term_by_term(d0, nmax):
+    # 2-3 terms per residue class: products would cost six to seven times more
+    assert product_progressions(d0, nmax)[1] == []
+
+
+@pytest.mark.parametrize("d0,nmax", [*((d0, 100) for d0 in SWEEP_D0), (6, 2000)])
+def test_long_progressions_sum_by_products(d0, nmax):
+    assert len(product_progressions(d0, nmax)[1]) == progression_count(d0, nmax)
+
+
+def test_rule_bounds_the_products_by_the_shifts():
+    # 3 shifts under 40 rows at step 400: at most 3 products, against 120 terms
+    table = array("q", [-6, *range(1, 100 * 157 + 1)])
+    shifts, counts = [0, 5, 9], [1, 2, 3]
+    xs = range(400, 100 * 157 + 1, 400)
+    ks = [bisect_right(shifts, x) for x in xs]
+    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
+        sums = relations._row_sums(table, shifts, counts, xs, ks)
+    assert spy.call_count == 1
+    assert list(sums) == _direct_sums(table, shifts, counts, xs, ks)
+
+
+@cache
+def product_rows(d0, nmax):
+    # the rows that verify sums by products, one form at a time
+    rows = []
+    for form in eligible_forms(d0):
+        if form.D > 1:
+            report, starts = product_progressions(d0, nmax, form.form)
+            rows += [(form, row) for row in report.rows if d0 * (row.n % 4 or 4) in starts]
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((10, 15, 35)), st.integers(0, 10**6))
+def test_product_rows_match_lattice_sum(d0, i):
+    # past the nmax 26 of test_table_rows_match_lattice_sum
+    rows = product_rows(d0, 80)
+    form, row = rows[i % len(rows)]
+    oracle = verification_row(form, row.n)
+    assert (row.lhs, row.rhs, row.term_count) == (oracle.lhs, oracle.rhs, oracle.term_count)
+
+
+@pytest.mark.parametrize("d0,form", [(15, BQF(8, 4, 8)), (35, BQF(12, 4, 12)),
+                                     (39, BQF(8, 4, 20))])
+def test_one_class_serves_both_progressions(d0, form, monkeypatch):
+    # a and c even: n = 1 and n = 0 mod 4 both read the class u, v even.
+    # These forms read few terms per residue, so the rule is moved to send
+    # both progressions to the products, and then to the direct sums.
+    monkeypatch.setattr(relations, "PRODUCT_TERMS_PER_RESIDUE", 0)
+    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
+        by_products = verify_relation(d0, 80, form)
+    first, second = spy.call_args_list
+    assert (first.args[3][0], second.args[3][0]) == (d0, 4 * d0)
+    assert first.args[1] is second.args[1]
+    monkeypatch.setattr(relations, "PRODUCT_TERMS_PER_RESIDUE", 10**18)
+    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
+        assert verify_relation(d0, 80, form).rows == by_products.rows
+    assert spy.call_args_list == []
+
+
+def test_wrong_product_field_exits_3(capsys, monkeypatch):
+    # a last row off by one in its field: the term-by-term re-sum catches it
+    def planted(value, length, width):
+        fields = relations_unpack(value, length, width)
+        fields[-1] += 1
+        return fields
+
+    relations_unpack = relations.unpack_fields
+    monkeypatch.setattr(relations, "unpack_fields", planted)
+    code = main(["verify", "--d0", "6", "--nmax", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "error: internal check failed: row products disagree with the direct sums" in captured.err
 
 
 def test_four_times_primitive_rows_are_covered():
