@@ -200,13 +200,14 @@ def cmd_hdn(args) -> int:
     return 0
 
 
-def _print_counterexample(report: relations.VerificationReport) -> None:
+def _counterexample(report: relations.VerificationReport) -> dict:
+    """The first mismatching row and the nonzero terms of its lattice sum,
+    with the rationals as "p/q" strings."""
     row = next(r for r in report.rows if not r.match)
-    print(f"counterexample: D0={row.d0} form=({row.form.a},{row.form.b},{row.form.c}) "
-          f"n={row.n} lhs={row.lhs} rhs={row.rhs} a_n={row.a_n}")
-    print("nonzero terms of the lattice sum:")
-    for u, v, m, h in report.counterexample.terms:
-        print(f"  u={u} v={v} m={m} H={h}")
+    return {"D0": row.d0, "a": row.form.a, "b": row.form.b, "c": row.form.c, "n": row.n,
+            "lhs": str(row.lhs), "rhs": str(row.rhs), "a_n": row.a_n,
+            "terms": [{"u": u, "v": v, "m": str(m), "H": str(h)}
+                      for u, v, m, h in report.counterexample.terms]}
 
 
 def cmd_verify(args) -> int:
@@ -220,6 +221,7 @@ def cmd_verify(args) -> int:
         only_form = bqf.BQF(a, b, c)
     report = relations.verify_relation(args.d0, args.nmax, only_form)
     rows, skipped, all_match = report.rows, report.skipped, report.all_match
+    dump = None if all_match else _counterexample(report)
     text = itertools.chain(
         (f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}"
          for s in skipped),
@@ -233,15 +235,21 @@ def cmd_verify(args) -> int:
            "rhs": str(r.rhs), "match": r.match} for r in rows),
          text, all_match,
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
-                      for s in skipped]})
+                      for s in skipped],
+          **({} if dump is None else {"counterexample": dump})})
     cache = _cache_path(args)
     if cache:
         load_cache(cache, report.class_numbers)
         save_cache(cache, report.class_numbers)
-    if not all_match:
-        _print_counterexample(report)
-        return 1
-    return 0
+    if dump is None:
+        return 0
+    # the json document holds the dump; a csv document has no room for it
+    if args.format != "json":
+        lines = ["counterexample: D0={D0} form=({a},{b},{c}) n={n} lhs={lhs} rhs={rhs} "
+                 "a_n={a_n}".format_map(dump), "nonzero terms of the lattice sum:",
+                 *("  u={u} v={v} m={m} H={H}".format_map(term) for term in dump["terms"])]
+        print(*lines, sep="\n", file=sys.stdout if args.format == "text" else sys.stderr)
+    return 1
 
 
 def cmd_kronecker(args) -> int:

@@ -8,21 +8,20 @@ outside world insist on an integer lead.
 
 The Cohen coefficients a_n are not built from these series:
 ``cohen_coefficients`` takes them from the divisor sieve of
-``arith.sigma_table`` and a packed theta sum of signed entries
-(``arith.shifted_sum``); both are shared with ``relations``, and
-the q-series product theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in
-the tests as its oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with
-ValueError before any work (exit 2 from the CLI).
+``arith.sigma_table`` and the theta-row kernel ``arith.theta_rows``; both
+are shared with ``relations``, and the q-series product
+theta**5 - 20*theta*eta(4z)**8/eta(2z)**4 is kept in the tests as its
+oracle.  nmax past ``arith.COHEN_BOUND`` is rejected with ValueError before
+any work (exit 2 from the CLI).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import COHEN_BOUND, shifted_sum, sigma_table
+from .arith import COHEN_BOUND, sigma_table, theta_rows
 
 
 class _QSeriesFields(NamedTuple):
@@ -205,7 +204,7 @@ def cohen_coefficients(nmax: int) -> list[int]:
     eta(4z)**8/eta(2z)**4 = sum over odd m of sigma(m) q**m, the series is
     theta * g for g(m) = r_4(m) - 20*sigma(m)*[m odd], g(0) = 1: sigma from
     ``arith.sigma_table``, then a_n = g(n) + 2 * sum over x >= 1 of
-    g(n - x**2), one signed shifted sum.
+    g(n - x**2), the rows of theta times g (``arith.theta_rows``).
     Rejects nmax > arith.COHEN_BOUND before any work.
     """
     if nmax < 0:
@@ -220,7 +219,5 @@ def cohen_coefficients(nmax: int) -> list[int]:
     g[2::4] = [8 * s for s in g[2::4]]
     g[1::2] = [-12 * s for s in g[1::2]]
     g[0] = 1
-    # Largest shift first: later big ints reuse its memory (in ascending order
-    # nmax = 2*10**5 took 475k page faults, 1 s of system time).
-    shifted = shifted_sum([(g, [x * x for x in range(root, 0, -1)])], nmax + 1)
-    return list(map(operator.add, g, map(operator.add, shifted, shifted)))
+    return list(theta_rows(g, [x * x for x in range(root + 1)], [1] + [2] * root,
+                           range(nmax + 1)))

@@ -16,17 +16,15 @@ built once per call (``bqf.class_number_table`` and ``bqf.hurwitz_table``).
 (``shimura.level_tables``), enumerates half of each form's lattice,
 Q(-v, -u) = Q(v, u), once for all n, folds the 2-power that the level
 tables leave out into the lattice counts, and reads a_n from one
-``cohen_coefficients`` list.  It sums the rows n = 1 mod 4, and those with
-n = 0 mod 4, as one progression each: term by term, or, when the terms
-outnumber PRODUCT_TERMS_PER_RESIDUE times the residues mod 4*D0 that the
-shifts can fill, as one packed product per residue (Kronecker
-substitution; ``arith.pack_fields``);
-``verify_kronecker`` packs two columns of the 12H table, 12*H(0) = -1
-included, into the signed theta kernel of the Cohen coefficients
-(``arith.shifted_sum``), and adds its divisor sums as strided slices.
-``verify_kronecker`` builds its rows from integer columns.  In the rows of
-both, the match is one integer equality over the one denominator, and a
-matching row's ``lhs`` and ``rhs`` are one ``Fraction``.
+``cohen_coefficients`` list.  Both relations, like the Cohen coefficients,
+are rows of a theta series times a table, summed by the one kernel
+``arith.theta_rows``: the binary theta series of a form's lattice for
+``verify_relation``, one progression of rows n = n0 mod 4 at a time, and the
+squares against the 12H table (12*H(0) = -1 included) for
+``verify_kronecker``, which adds its divisor sums as strided slices.  In
+the rows of both, built from integer columns, the match is one integer
+equality over the one denominator, and a matching row's ``lhs`` and
+``rhs`` are one ``Fraction``.
 ``lattice_sum`` evaluates one row point by point into one total and the
 tuple of its nonzero terms, and keeps no state; the tables, built per run,
 are the only reuse.  ``verify_relation`` walks the first mismatching row
@@ -43,19 +41,11 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, filterfalse, repeat
-from operator import add, eq, floordiv, lshift, mod, mul, sub
+from itertools import accumulate, filterfalse, repeat
+from operator import add, eq, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
-from .arith import (
-    TABLE_BOUND,
-    InternalCheckError,
-    pack_fields,
-    prime_divisors,
-    shifted_sum,
-    sigma_table,
-    unpack_fields,
-)
+from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, sigma_table, theta_rows
 from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
@@ -284,68 +274,6 @@ def _theta_class(form: EligibleForm, nmax: int, u_par: int,
     return shifts, counts
 
 
-# The rows of a progression take the product path when they read more than
-# this many terms per product (per residue class mod 4*D0 that the shifts
-# can fill).  Timed over all progressions of a run, best of 15 (Python
-# 3.11.7, 2-vCPU Xeon VM), products against terms: the composite D0 <= 30
-# at nmax 100, 19-49 terms per product, 3.2 against 4.9 ms; 210/100 and
-# 1155/100, about 13, 8.1 against 9.7 and 79 against 87 ms; 210/60 and
-# 1155/60, about 8, 5.2 against 3.7 and 46 against 33 ms; 1155/20, 1190/20
-# and 30030/16, 2-3, six to seven times slower; 6/2000, about 13,000,
-# eleven times faster.  The two cost the same near 12.
-PRODUCT_TERMS_PER_RESIDUE = 12
-
-
-def _direct_sums(table: array, shifts: list[int], counts: list[int], xs, ks) -> list[int]:
-    # Row x is the sum of counts[i] * table[x - shifts[i]] over i < k, one
-    # interpreted step per term.
-    return [sum(counts[i] * table[x - shifts[i]] for i in range(k)) for x, k in zip(xs, ks)]
-
-
-def _product_sums(table: array, shifts: list[int], counts: list[int], xs: range,
-                  ks: list[int]) -> array:
-    # The rows of _direct_sums over x = x0 + step*k, one big-int product per
-    # residue r mod step.  A shift s reads table[x - s] = col[k - e] with col
-    # = table[r::step], r = (x0 - s) mod step and e = (s + r - x0) / step,
-    # an integer >= -1 (-1 only for s = 0 and r = 0 when x0 = step).  So the
-    # weights of residue r, each packed into field e + 1, times the packed
-    # column hold row k in field k + 1, and the products add up over r.
-    x0, step, last = xs[0], xs.step, xs[-1]
-    shifts, counts = shifts[:ks[-1]], counts[:ks[-1]]
-    residues = set(map(mod, map(sub, repeat(x0), shifts), repeat(step)))
-    columns = [table[r:last + 1:step] for r in residues]
-    largest = max(map(abs, chain.from_iterable(columns)), default=0)
-    if largest * sum(counts) >= 1 << 63:
-        raise InternalCheckError(f"a row sum of {sum(counts)} weighted terms does not fit "
-                                 f"64-bit fields")
-    weights = array("q", [0]) * (last + 1)
-    for s, count in zip(shifts, counts):
-        weights[s] = count
-    total = 0
-    for r, column in zip(residues, columns):
-        first = (x0 - r) % step
-        lift = (first + r - x0) // step + 1
-        total += (pack_fields(weights[first::step]) << 64 * lift) * pack_fields(column)
-    sums = unpack_fields(total, len(xs) + 1, 8)[1:]
-    # the first and the last row once more, term by term
-    ends = [sums[0], sums[-1]]
-    direct = _direct_sums(table, shifts, counts, (x0, last), (ks[0], ks[-1]))
-    if ends != direct:
-        raise InternalCheckError(f"row products disagree with the direct sums at x = {x0} "
-                                 f"and {last}: {ends} != {direct}")
-    return sums
-
-
-def _row_sums(table: array, shifts: list[int], counts: list[int], xs: range,
-              ks: list[int]) -> list[int] | array:
-    # The rows x in xs, of step 4*D0, by whichever path costs less: the direct
-    # path reads sum(ks) terms, the product path makes at most one product
-    # per residue r mod 4*D0 of a shift <= xs[-1].
-    if sum(ks) > PRODUCT_TERMS_PER_RESIDUE * min(xs.step, ks[-1]):
-        return _product_sums(table, shifts, counts, xs, ks)
-    return _direct_sums(table, shifts, counts, xs, ks)
-
-
 def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> VerificationReport:
     """Verify the relation for every eligible form of the given D0 with D > 1
     and every n <= nmax congruent to 0 or 1 mod 4, or only for the
@@ -359,16 +287,10 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     so each T[j] is multiplied by it once.  The forms are summed level by
     level, one table held at a time.  The rows n = n0 mod 4 of a form, x =
     D0*n0 + 4*D0*k for n0 = 1 and 4, read one class and are summed as one
-    progression, by the path the exact counts pick: term by term, sum(ks)
-    terms with ks[k] = bisect_right(shifts, x), or one big-int product per
-    residue mod 4*D0 of the shifts, at most min(4*D0, ks[-1]) of them.  The
-    products run when sum(ks) > PRODUCT_TERMS_PER_RESIDUE times that bound;
-    they re-sum the first and last row term by term and raise
-    ``InternalCheckError`` if either differs, or if a field could overflow.
-    The first mismatching row is walked once by ``lattice_sum``: that walk
-    must agree with the row's lhs and term count, or ``InternalCheckError``
-    is raised, and it is the report's ``counterexample``, nonzero terms
-    included.  Rejects D0*nmax >
+    progression by ``arith.theta_rows``.  The first mismatching row is
+    walked once by ``lattice_sum``: that walk must agree with the row's lhs
+    and term count, or ``InternalCheckError`` is raised, and it is the
+    report's ``counterexample``, nonzero terms included.  Rejects D0*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
@@ -421,9 +343,9 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 # row x reads the shifts j <= x: the boundary points j = x read
                 # table[0], 6 times the volume term, with the weight
                 # 2**omega(D0): L times the volume term
-                ks = list(map(bisect_right, repeat(shifts), xs))
-                numerators[n0::4] = _row_sums(table, shifts, counts, xs, ks)
-                term_counts[n0::4] = map(points.__getitem__, ks)
+                numerators[n0::4] = theta_rows(table, shifts, counts, xs)
+                term_counts[n0::4] = map(points.__getitem__,
+                                         map(bisect_right, repeat(shifts), xs))
             rows = form_rows[form.form] = []
             for n in range(1, nmax + 1):
                 if n % 4 in (2, 3):
@@ -459,24 +381,12 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                               class_numbers=class_numbers, counterexample=counterexample)
 
 
-def _theta_sum(hurwitz12: array, nmax: int) -> array:
-    # theta[n] = sum over x >= 1 of 12*H(4n - x**2) for 0 <= n <= nmax (see
-    # verify_kronecker).  4n - x**2 is 4m for even x = 2y and 4m + 3 for odd
-    # x = 2y + 1, with n - m = y*y and y*y + y + 1.
-    xmax = math.isqrt(4 * nmax)
-    return shifted_sum([(hurwitz12[0::4], [y * y for y in range(1, xmax // 2 + 1)]),
-                         (hurwitz12[3::4], [y * y + y + 1 for y in range((xmax + 1) // 2)])],
-                        nmax + 1)
-
-
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly.
 
-    The theta sum over x of 12*H(4n - x**2) is coefficient n of theta times
-    the table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``).  It is
-    computed as packed integers (Kronecker substitution): the columns
-    m = 0 and m = 3 mod 4 of the table become two ints of 64-bit fields, and
-    each x >= 1 adds one of them shifted by (x*x + 3)//4 fields.  The sums
+    The theta sum over x of 12*H(4n - x**2) is row 4n of theta times the
+    table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``, and
+    ``arith.theta_rows``).  The sums
     of min(d, n/d) come from a divisor sieve over d <= sqrt(nmax), and
     sigma(n) from ``arith.sigma_table``.  The rows come from these integer
     columns: row n matches when 12 times its left side equals 24*sigma(n),
@@ -489,8 +399,11 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     if 4 * nmax > TABLE_BOUND:
         raise ValueError(f"input too large: 4*nmax = {4 * nmax} exceeds the table bound {TABLE_BOUND}")
     hurwitz12 = hurwitz_table(4 * nmax)
-    # theta[n]: the terms with x > 0, each counted once for x and once for -x
-    theta = _theta_sum(hurwitz12, nmax)
+    # 12 times the theta sum at 4n: 12*H(4n - x**2), once for x = 0 and
+    # twice for x and -x > 0
+    xmax = math.isqrt(4 * nmax)
+    theta = theta_rows(hurwitz12, [x * x for x in range(xmax + 1)], [1] + [2] * xmax,
+                       range(4, 4 * nmax + 1, 4))
     # min(d, e) over the divisor pairs d*e = n with d <= e
     min_sums = [0] * (nmax + 1)
     for d in range(1, math.isqrt(nmax) + 1):
@@ -500,8 +413,7 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     sigmas = sigma_table(nmax)
     # the rows n >= 1 as columns: 12 times the left side, its exact test
     # against 12 times the right side, and one Fraction 2*sigma(n) per row
-    lhs12 = list(map(add, map(add, hurwitz12[4::4], map(mul, theta[1:], repeat(2))),
-                     map(mul, min_sums[1:], repeat(12))))
+    lhs12 = list(map(add, theta, map(mul, min_sums[1:], repeat(12))))
     matches = list(map(eq, lhs12, map(mul, sigmas[1:], repeat(24))))
     rhs = list(map(Fraction, map(mul, sigmas[1:], repeat(2))))
     # a matching row's lhs is its rhs; only a mismatch gets its own Fraction

@@ -1,10 +1,13 @@
 import math
 import sys
+from array import array
 from bisect import bisect_right
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from humbert import arith
 from humbert.arith import (
     FACTOR_BOUND,
     InternalCheckError,
@@ -17,9 +20,9 @@ from humbert.arith import (
     kronecker,
     prime_divisors,
     primes_up_to,
-    shifted_sum,
     sigma,
     sigma_table,
+    theta_rows,
     unpack_fields,
 )
 
@@ -219,8 +222,8 @@ def test_unpack_fields_needs_an_array_type_of_the_width():
 def test_other_host_byte_order_swaps_field_bytes(monkeypatch):
     # Claiming the other byte order runs the byteswap branch the host skips
     # (the big-endian one on little-endian hosts): the decoder returns every
-    # field with its bytes reversed, while shifted_sum swaps when it packs
-    # and again when it decodes, so one unshifted column comes back as it is.
+    # field with its bytes reversed, while theta_rows swaps when it packs and
+    # again when it decodes, so one unshifted column comes back as it is.
     cases = {4: [0x01020304, -2, 2**31 - 1, -2**31, 0],
              8: [0x0102030405060708, -2, 2**63 - 1, -2**63, 0]}
     monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
@@ -229,4 +232,84 @@ def test_other_host_byte_order_swaps_field_bytes(monkeypatch):
                    for f in fields]
         assert list(unpack_fields(pack(fields, width), len(fields), width)) == swapped
     column = [0x0102030405060708, -1, -2**62, 2**63 - 1, 0, 5]
-    assert list(shifted_sum([(column, [0])], len(column))) == column
+    assert list(theta_rows(column, [0], [1], range(len(column)))) == column
+
+
+def theta_rows_oracle(table, shifts, counts, xs):
+    # every row against every shift, one term at a time
+    return [sum(count * table[x - s] for s, count in zip(shifts, counts) if s <= x) for x in xs]
+
+
+def traced_theta_rows(table, shifts, counts, xs):
+    """The rows of ``theta_rows`` and the path that summed them, told apart
+    by what it packs: nothing on the direct path, each residue column once on
+    the unary path, and its weights besides on the product path."""
+    with (mock.patch.object(arith, "pack_fields", wraps=arith.pack_fields) as packs,
+          mock.patch.object(arith, "unpack_fields", wraps=arith.unpack_fields) as unpacks):
+        rows = theta_rows(table, shifts, counts, xs)
+    residues = len({(xs[0] - s) % xs.step for s in shifts if s <= xs[-1]})
+    if not unpacks.called:
+        return list(rows), "direct"
+    assert unpacks.call_count == 1 and packs.call_count in (residues, 2 * residues)
+    return list(rows), "unary" if packs.call_count == residues else "products"
+
+
+@st.composite
+def theta_inputs(draw, path):
+    # A progression of K rows from x0 in [0, 2*step] (the columns lifted by
+    # 0, 1 or 2 fields) with shifts up to two steps past its last row, and
+    # as many shifts up to it as the path needs: at most isqrt(last) + 1 on
+    # the unary path, more on the others.  Signed entries anywhere.
+    step = draw(st.integers(1, 12))
+    x0 = draw(st.integers(0, 2 * step))
+    last = x0 + step * (draw(st.integers(1, 12)) - 1)
+    root = math.isqrt(last)
+    low, high = (0, root + 1) if path == "unary" else (root + 2, last + 1)
+    assume(low <= high)
+    shifts = sorted(draw(st.sets(st.integers(0, last), min_size=low, max_size=high))
+                    | draw(st.sets(st.integers(last + 1, last + 2 * step), max_size=3)))
+    counts = draw(st.lists(st.integers(1, 2**10), min_size=len(shifts), max_size=len(shifts)))
+    entries = draw(st.lists(st.integers(-2**40, 2**40), min_size=last + 1, max_size=last + 1))
+    table = array("q", entries) if draw(st.booleans()) else entries
+    return table, shifts, counts, range(x0, last + 1, step)
+
+
+# the origin alone, read at e = -1 (x0 = step) and at e = -2 (x0 = 2*step);
+# no shift up to the last row; one row; a count above 1 at every shift
+@example(("unary", ([-7, 5, 6], [0], [3], range(1, 3, 1))))
+@example(("unary", ([-7, 5, 6, 2, 9], [0], [3], range(4, 5, 2))))
+@example(("unary", ([1, 2, 3], [5, 9], [1, 1], range(0, 3))))
+@example(("products", ([-3, 1, 4, 1, 5, 9, 2, 6, 5], [0, 1, 2, 3, 4, 8], [2, 3, 2, 3, 2, 3],
+                      range(2, 9, 2))))
+@example(("direct", ([-3, 1, 4, 1, 5, 9, 2, 6, 5], [0, 1, 2, 3, 4, 8], [2, 3, 2, 3, 2, 3],
+                    range(2, 9, 2))))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["unary", "direct", "products"]).flatmap(
+    lambda path: st.tuples(st.just(path), theta_inputs(path))))
+def test_theta_rows_match_double_loop(case):
+    # The rule sends the inputs of "products" and "direct" one way or the
+    # other when PRODUCT_TERMS_PER_RESIDUE is 0 or past any term count.
+    path, (table, shifts, counts, xs) = case
+    with mock.patch.object(arith, "PRODUCT_TERMS_PER_RESIDUE", 0 if path == "products" else 10**18):
+        rows, taken = traced_theta_rows(table, shifts, counts, xs)
+    assert taken == path
+    assert rows == theta_rows_oracle(table, shifts, counts, xs)
+
+
+def test_theta_rows_reject_entries_a_field_cannot_hold():
+    # max |entry| times the sum of the counts reaching 2**63 may carry out of
+    # the sign bit or borrow past it; a count of 2 weighs as two shifts
+    for table, shifts, counts in (([2**62, 1], [0, 1], [1, 1]), ([2**62, 1], [5], [2]),
+                                  ([2**61], [0, 9], [2, 2]), ([-2**62], [0, 1], [1, 1]),
+                                  ([1, -2**62], [0, 5], [1, 1])):
+        with pytest.raises(InternalCheckError, match="64-bit fields"):
+            theta_rows(table + [0] * 9, shifts, counts, range(10))
+    # negative entries are exact, also where a field borrows from the next
+    for table, shifts, counts in (([3, -1, 3], [0], [1]), ([3, -1, 3], [0, 1, 2], [1, 2, 1])):
+        table += [0] * 5
+        assert list(theta_rows(table, shifts, counts, range(8))) == theta_rows_oracle(
+            table, shifts, counts, range(8))
+    assert list(theta_rows([2**62 - 1, 1, 0], [0], [2], range(3))) == [2**63 - 2, 2, 0]
+    most = (2**63 - 1) // 3
+    assert list(theta_rows([most] * 3, [0, 1, 2], [1] * 3, range(3))) == [most, 2 * most, 3 * most]
+    assert list(theta_rows([-most] * 3, [0, 1, 2], [1] * 3, range(3))) == [-most, -2 * most, -3 * most]

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -168,6 +170,43 @@ def test_verify_mismatch_exits_1_with_term_dump(capsys, monkeypatch):
     assert re.search(r"u=-?1 v=-?2 m=3 H=1/3", out)
 
 
+def test_verify_mismatch_json_holds_the_dump(capsys, monkeypatch):
+    # the json document stays one document: the dump is its counterexample key
+    a_1 = relations.cohen_coefficients(1)[1]
+    plant_cohen_mismatch(monkeypatch, 1)
+    _, text, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "4", "--format", "json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["all_match"] is False
+    dump = doc["counterexample"]
+    row = next(row for row in doc["rows"] if not row["match"])
+    assert {key: dump[key] for key in row if key in dump} == {
+        key: row[key] for key in ("D0", "a", "b", "c", "n", "lhs", "rhs")}
+    assert dump["a_n"] == a_1 + 1
+    assert {"u": -1, "v": -2, "m": "3", "H": "1/3"} in dump["terms"]
+    # the text dump, field for field
+    lines = text.splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("counterexample: ")))
+    assert lines[start] == (f"counterexample: D0=10 form=(5,0,8) n=1 lhs={dump['lhs']} "
+                            f"rhs={dump['rhs']} a_n={dump['a_n']}")
+    assert lines[start + 2:] == [f"  u={t['u']} v={t['v']} m={t['m']} H={t['H']}"
+                                 for t in dump["terms"]]
+
+
+def test_verify_mismatch_csv_dumps_to_stderr(capsys, monkeypatch):
+    # stdout stays the csv rows; the dump goes to stderr, as text prints it
+    plant_cohen_mismatch(monkeypatch, 1)
+    _, text, _ = run(capsys, "verify", "--d0", "10", "--nmax", "4")
+    code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "4", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"]
+    assert [row[6] for row in rows[1:]] == ["1", "4"]
+    assert err.startswith("counterexample: D0=10 form=(5,0,8) n=1 ")
+    assert text.endswith(err)
+
+
 def test_verify_mismatch_prints_both_sides(capsys, monkeypatch):
     # a_1 + 1 changes only the right side of row n = 1: its lhs stays the
     # lattice sum, its rhs is the perturbed a_1 times the volume term
@@ -307,18 +346,18 @@ def test_kronecker_command(capsys):
 
 @pytest.mark.parametrize("n, lhs, rhs", [(1, "13/6", 2), (7, "97/6", 16), (40, "1081/6", 180)])
 def test_kronecker_mismatch_exits_1(capsys, monkeypatch, n, lhs, rhs):
-    # one more unit in theta[n] adds 2 to 12 times the left side of row n;
-    # the right side 2*sigma(n) stays
+    # two more units in the theta row of n (12*H(4n - x**2) summed over x)
+    # add 2 to 12 times the left side of row n; the right side 2*sigma(n) stays
     _, clean, _ = run(capsys, "kronecker", "--nmax", "40")
     lhs12 = 12 * rhs
-    real = relations._theta_sum
+    real = relations.theta_rows
 
-    def broken(hurwitz12, nmax):
-        theta = real(hurwitz12, nmax)
-        theta[n] += 1
-        return theta
+    def broken(table, shifts, counts, xs):
+        rows = real(table, shifts, counts, xs)
+        rows[xs.index(4 * n)] += 2
+        return rows
 
-    monkeypatch.setattr(relations, "_theta_sum", broken)
+    monkeypatch.setattr(relations, "theta_rows", broken)
     code, out, _ = run(capsys, "kronecker", "--nmax", "40")
     assert code == 1
     lines, clean_lines = out.splitlines(), clean.splitlines()

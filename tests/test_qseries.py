@@ -5,9 +5,9 @@ from functools import cache
 from itertools import repeat
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from humbert.arith import COHEN_BOUND, InternalCheckError, divisors, factor, kronecker, shifted_sum
+from humbert.arith import COHEN_BOUND, divisors, factor, kronecker
 from humbert.qseries import (
     QSeries,
     add,
@@ -52,16 +52,6 @@ def cohen_slices_oracle(nmax):
     for x in range(1, math.isqrt(nmax) + 1):
         coeffs[x * x:] = map(operator.add, coeffs[x * x:], twice)
     return coeffs
-
-
-def shifted_sum_oracle(terms, length):
-    out = [0] * length
-    for column, shifts in terms:
-        for shift in shifts:
-            for i, value in enumerate(column):
-                if shift + i < length:
-                    out[shift + i] += value
-    return out
 
 
 def euler_product_oracle(scale_factor, prec):
@@ -233,44 +223,6 @@ def test_cohen_sieve_matches_q_series_oracle_at_every_length(nmax):
 @pytest.mark.parametrize("nmax", [*range(301), *range(2990, 3011)])
 def test_cohen_coefficients_match_slices_oracle(nmax):
     assert cohen_coefficients(nmax) == cohen_slices_oracle(nmax)
-
-
-# at most 3 columns of 6 shifts: entries of absolute value below 2**63 // 18
-# fill the fields without carrying out of them or borrowing from the next
-shifted_terms = st.lists(
-    st.tuples(st.lists(st.integers(-((2**63 - 1) // 18), (2**63 - 1) // 18), max_size=12),
-              st.lists(st.integers(0, 15), max_size=6)),
-    max_size=3,
-)
-
-
-@example([], 0)
-@example([([5, 7], [0, 3])], 0)
-@example([([5, 7], [0])], 1)
-@example([([5, 7], []), ([1], [1])], 3)
-@example([([1, 2, 3], [2, 2, 0, 4, 9])], 4)
-@example([([-1, 0, 1], [0, 1]), ([-5], [3])], 6)
-@settings(max_examples=300, deadline=None)
-@given(shifted_terms, st.integers(0, 16))
-def test_shifted_sum_matches_double_loop(terms, length):
-    assert list(shifted_sum(terms, length)) == shifted_sum_oracle(terms, length)
-
-
-def test_shifted_sum_rejects_entries_a_field_cannot_hold():
-    # max |entry| * shift count reaching 2**63 may carry out of the sign bit
-    # or borrow past it, counted over all columns
-    for terms in ([([2**62, 1], [0, 1])], [([1, 2**62], [5]), ([1], [0])],
-                  [([2**61], [0, 0, 9, 9])], [([-2**62], [0, 1])],
-                  [([1, -2**62], [5]), ([-1], [0])]):
-        with pytest.raises(InternalCheckError, match="64-bit fields"):
-            shifted_sum(terms, 8)
-    # negative entries are exact, also where a field borrows from the next
-    for terms in ([([3, -1, 3], [0])], [([3, 1], [0, 1]), ([0, -1], [2])]):
-        assert list(shifted_sum(terms, 8)) == shifted_sum_oracle(terms, 8)
-    assert list(shifted_sum([([2**62 - 1, 1], [0, 0]), ([], [])], 3)) == [2**63 - 2, 2, 0]
-    most = (2**63 - 1) // 3
-    assert list(shifted_sum([([most] * 3, [0, 1, 2])], 3)) == [most, 2 * most, 3 * most]
-    assert list(shifted_sum([([-most] * 3, [0, 1, 2])], 3)) == [-most, -2 * most, -3 * most]
 
 
 def test_cohen_bound():

@@ -15,7 +15,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from humbert.arith import (
     TABLE_BOUND,
@@ -24,8 +24,9 @@ from humbert.arith import (
     kronecker,
     prime_divisors,
     sigma,
+    theta_rows,
 )
-from humbert import relations
+from humbert import arith, qseries, relations
 from humbert.bqf import (
     BQF,
     class_number,
@@ -37,10 +38,7 @@ from humbert.bqf import (
 from humbert.cli import main
 from humbert.genus import eligible_forms
 from humbert.relations import (
-    _direct_sums,
-    _product_sums,
     _theta_class,
-    _theta_sum,
     verification_row,
     verify_kronecker,
     verify_relation,
@@ -52,7 +50,7 @@ from humbert.shimura import (
     volume_term,
     weighted_class_number,
 )
-from test_arith import smallest_prime_factor_sieve
+from test_arith import smallest_prime_factor_sieve, theta_rows_oracle, traced_theta_rows
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
 LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)
@@ -134,6 +132,22 @@ def theta_class_oracle(form, nmax, u_par, v_par):
     return values, [j for j, _ in multiplicity], [count for _, count in multiplicity]
 
 
+def kronecker_theta(hurwitz12):
+    # the theta rows that verify_kronecker sums from the table of 12*H(m),
+    # m <= 4*nmax: 12*H(4n - x**2) over all x, for 1 <= n <= nmax
+    rows = []
+
+    def record(*args):
+        rows.append(arith.theta_rows(*args))
+        return rows[-1]
+
+    with (mock.patch.object(relations, "hurwitz_table", lambda x: hurwitz12),
+          mock.patch.object(relations, "theta_rows", record)):
+        verify_kronecker((len(hurwitz12) - 1) // 4)
+    (theta,) = rows
+    return list(theta)
+
+
 def kronecker_theta_oracle(hurwitz12, nmax):
     # the theta sum of verify_kronecker one column slice per x >= 1: theta[n]
     # gains 12*H(4n - x**2) for every n >= (x*x + 3)//4
@@ -142,6 +156,12 @@ def kronecker_theta_oracle(hurwitz12, nmax):
         n0 = (x * x + 3) // 4
         theta[n0:] = map(add, theta[n0:], hurwitz12[4 * n0 - x * x:4 * nmax - x * x + 1:4])
     return theta
+
+
+def kronecker_theta_rows_oracle(table, nmax):
+    # x = 0 once and every other x twice, for x and -x
+    theta = kronecker_theta_oracle(table, nmax)
+    return [table[4 * n] + 2 * theta[n] for n in range(1, nmax + 1)]
 
 
 def _embedding_counts(key, in_d):
@@ -292,24 +312,27 @@ def test_form_count_fields_cannot_overflow_at_table_bound():
 @given(st.integers(1, 2000))
 def test_kronecker_theta_matches_oracle(nmax):
     table = h12_table(max(4 * nmax, 8000))[:4 * nmax + 1]
-    assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
+    assert kronecker_theta(table) == kronecker_theta_rows_oracle(table, nmax)
 
 
 def test_theta_sum_rejects_entries_a_field_cannot_hold():
-    # xmax entries of absolute value 2**62 would carry out of a 64-bit field
-    # or borrow past its sign bit
+    # the 2*xmax + 1 terms of a row, times an entry of absolute value 2**62,
+    # would carry out of a 64-bit field or borrow past its sign bit
     nmax = 100
     for m, value in ((40, 2**62), (4 * nmax - 1, 2**62), (40, -2**62)):
         table = h12_table(4 * nmax)[:]
         table[m] = value
         with pytest.raises(InternalCheckError, match="64-bit fields"):
-            _theta_sum(table, nmax)
+            kronecker_theta(table)
     # negative entries past 12*H(0) are summed exactly, down to the bound
-    most = (2**63 - 1) // math.isqrt(4 * nmax)
+    most = (2**63 - 1) // (2 * math.isqrt(4 * nmax) + 1)
     for m, value in ((7, -1), (40, most), (40, -most)):
         table = h12_table(4 * nmax)[:]
         table[m] = value
-        assert list(_theta_sum(table, nmax)) == kronecker_theta_oracle(table, nmax)
+        assert kronecker_theta(table) == kronecker_theta_rows_oracle(table, nmax)
+    table[40] = -most - 1
+    with pytest.raises(InternalCheckError, match="64-bit fields"):
+        kronecker_theta(table)
 
 
 def times_theta(column, nmax):
@@ -461,53 +484,79 @@ def test_theta_class_matches_oracle(d0, nmax):
                 assert (shifts[0], counts[0] % 2) == (0, 1)
 
 
-def progression_sums(product, d0, n0, k, table, shifts, counts):
-    # the rows x = D0*n for n = n0, n0 + 4, ..., k of them, by one path
-    xs = range(d0 * n0, d0 * (n0 + 4 * k - 4) + 1, 4 * d0)
-    ks = [bisect_right(shifts, x) for x in xs]
-    return list((_product_sums if product else _direct_sums)(table, shifts, counts, xs, ks))
+def progression(d0, n0, k):
+    # the rows x = D0*n for n = n0, n0 + 4, ..., k of them
+    return range(d0 * n0, d0 * (n0 + 4 * k - 4) + 1, 4 * d0)
 
 
-@example(d0=1, n0=1, k=1, data=None)
+def product_sums(table, shifts, counts, xs):
+    # the rows by products, which the rule picks for any term count when
+    # PRODUCT_TERMS_PER_RESIDUE is 0 and more shifts reach the last row than
+    # a unary theta series has
+    with mock.patch.object(arith, "PRODUCT_TERMS_PER_RESIDUE", 0):
+        sums, path = traced_theta_rows(table, shifts, counts, xs)
+    assert path == "products"
+    return sums
+
+
 @example(d0=1, n0=4, k=2, data=None)
+@example(d0=1, n0=1, k=3, data=None)
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.sampled_from((1, 4)), st.integers(1, 12), st.none() | st.data())
 def test_product_rows_match_direct_rows(d0, n0, k, data):
-    # sparse shifts and counts, some shifts past the last row and most
-    # residues mod 4*D0 empty, against a table whose entry 0 is negative
-    last = d0 * (n0 + 4 * k - 4)
+    # sparse shifts and counts, a few more up to the last row than the
+    # squares, some past it, and most residues mod 4*D0 empty, against a
+    # table whose entry 0 is negative
+    xs = progression(d0, n0, k)
+    last = xs[-1]
+    least = math.isqrt(last) + 2
+    assume(least <= last + 1)
     if data is None:
-        # the origin alone, read at e = -1 when n0 = 4
-        shifts, counts, table = [0], [3], array("q", [-7, *range(1, last + 1)])
+        # the origin and the least shifts after it, the origin read at e = -1
+        # when n0 = 4
+        shifts, counts, table = list(range(least)), [3] * least, array("q", [-7, *range(1, last + 1)])
     else:
-        shifts = sorted(data.draw(st.sets(st.integers(0, last + 8 * d0), max_size=30)))
+        shifts = sorted(data.draw(st.sets(st.integers(0, last), min_size=least,
+                                          max_size=min(least + 20, last + 1)))
+                        | data.draw(st.sets(st.integers(last + 1, last + 8 * d0), max_size=5)))
         counts = data.draw(st.lists(st.integers(1, 2**20), min_size=len(shifts),
                                     max_size=len(shifts)))
         rng = data.draw(st.randoms(use_true_random=False))
         table = array("q", [-rng.randrange(1, 2**30), *(rng.randrange(2**30) for _ in range(last))])
-    assert (progression_sums(True, d0, n0, k, table, shifts, counts)
-            == progression_sums(False, d0, n0, k, table, shifts, counts))
+    assert product_sums(table, shifts, counts, xs) == theta_rows_oracle(table, shifts, counts, xs)
 
 
 @pytest.mark.parametrize("m,value", [(37, 2**42), (0, -2**42)])
 def test_product_rows_reject_entries_a_field_cannot_hold(m, value):
-    # +-2**42 times counts that sum to 2**21 reaches a 64-bit field's sign bit
+    # +-2**42 times counts that sum to 2**21 reaches a 64-bit field's sign
+    # bit, on the products (8 shifts) and on the packed adds (3 shifts)
     table = array("q", [-6, *range(1, 41)])
     table[m] = value
-    shifts, counts = [0, 3, 11], [2**20, 2**19, 2**19]
-    with pytest.raises(InternalCheckError, match="64-bit fields"):
-        progression_sums(True, 2, 4, 5, table, shifts, counts)
-    counts[2] -= 1
-    assert (progression_sums(True, 2, 4, 5, table, shifts, counts)
-            == progression_sums(False, 2, 4, 5, table, shifts, counts))
+    xs = progression(2, 4, 5)
+    for shifts, counts in (([0, 3, 11, 13, 17, 19, 23, 29], [2**20, 2**19, 2**19 - 5, 1, 1, 1, 1, 1]),
+                           ([0, 3, 11], [2**20, 2**19, 2**19])):
+        with mock.patch.object(arith, "PRODUCT_TERMS_PER_RESIDUE", 0):
+            with pytest.raises(InternalCheckError, match="64-bit fields"):
+                theta_rows(table, shifts, counts, xs)
+            counts[2] -= 1
+            sums, path = traced_theta_rows(table, shifts, counts, xs)
+        assert path == ("products" if len(shifts) == 8 else "unary")
+        assert sums == theta_rows_oracle(table, shifts, counts, xs)
 
 
-def product_progressions(d0, nmax, only_form=None):
-    # verify_relation's report, and the first x of every progression that it
-    # summed by products
-    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
+def theta_progressions(d0, nmax, only_form=None):
+    # verify_relation's report, and the first x, the path and the shifts of
+    # every progression that it summed
+    calls = []
+
+    def traced(table, shifts, counts, xs):
+        sums, path = traced_theta_rows(table, shifts, counts, xs)
+        calls.append((xs[0], path, shifts))
+        return sums
+
+    with mock.patch.object(relations, "theta_rows", traced):
         report = verify_relation(d0, nmax, only_form)
-    return report, [call.args[3][0] for call in spy.call_args_list]
+    return report, calls
 
 
 def progression_count(d0, nmax):
@@ -519,24 +568,25 @@ def progression_count(d0, nmax):
 @pytest.mark.parametrize("d0,nmax", [(1155, 20), (1190, 20), (30030, 16)])
 def test_short_progressions_sum_term_by_term(d0, nmax):
     # 2-3 terms per residue class: products would cost six to seven times more
-    assert product_progressions(d0, nmax)[1] == []
+    calls = theta_progressions(d0, nmax)[1]
+    assert [path for _, path, _ in calls] == ["direct"] * progression_count(d0, nmax)
 
 
 @pytest.mark.parametrize("d0,nmax", [*((d0, 100) for d0 in SWEEP_D0), (6, 2000)])
 def test_long_progressions_sum_by_products(d0, nmax):
-    assert len(product_progressions(d0, nmax)[1]) == progression_count(d0, nmax)
+    calls = theta_progressions(d0, nmax)[1]
+    assert [path for _, path, _ in calls] == ["products"] * progression_count(d0, nmax)
 
 
 def test_rule_bounds_the_products_by_the_shifts():
-    # 3 shifts under 40 rows at step 400: at most 3 products, against 120 terms
-    table = array("q", [-6, *range(1, 100 * 157 + 1)])
-    shifts, counts = [0, 5, 9], [1, 2, 3]
-    xs = range(400, 100 * 157 + 1, 400)
-    ks = [bisect_right(shifts, x) for x in xs]
-    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
-        sums = relations._row_sums(table, shifts, counts, xs, ks)
-    assert spy.call_count == 1
-    assert list(sums) == _direct_sums(table, shifts, counts, xs, ks)
+    # 210 shifts under 40 rows at step 1000: at most 210 products, against
+    # 8400 terms, though 12 terms for each of the 1000 residues would be more
+    table = array("q", [-6, *range(1, 40 * 1000 + 1)])
+    shifts, counts = list(range(210)), [1, 2, 3] * 70
+    xs = range(1000, 40 * 1000 + 1, 1000)
+    sums, path = traced_theta_rows(table, shifts, counts, xs)
+    assert path == "products"
+    assert sums == theta_rows_oracle(table, shifts, counts, xs)
 
 
 @cache
@@ -545,7 +595,8 @@ def product_rows(d0, nmax):
     rows = []
     for form in eligible_forms(d0):
         if form.D > 1:
-            report, starts = product_progressions(d0, nmax, form.form)
+            report, calls = theta_progressions(d0, nmax, form.form)
+            starts = [x0 for x0, path, _ in calls if path == "products"]
             rows += [(form, row) for row in report.rows if d0 * (row.n % 4 or 4) in starts]
     return rows
 
@@ -566,31 +617,63 @@ def test_one_class_serves_both_progressions(d0, form, monkeypatch):
     # a and c even: n = 1 and n = 0 mod 4 both read the class u, v even.
     # These forms read few terms per residue, so the rule is moved to send
     # both progressions to the products, and then to the direct sums.
-    monkeypatch.setattr(relations, "PRODUCT_TERMS_PER_RESIDUE", 0)
-    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
-        by_products = verify_relation(d0, 80, form)
-    first, second = spy.call_args_list
-    assert (first.args[3][0], second.args[3][0]) == (d0, 4 * d0)
-    assert first.args[1] is second.args[1]
-    monkeypatch.setattr(relations, "PRODUCT_TERMS_PER_RESIDUE", 10**18)
-    with mock.patch.object(relations, "_product_sums", wraps=_product_sums) as spy:
-        assert verify_relation(d0, 80, form).rows == by_products.rows
-    assert spy.call_args_list == []
+    monkeypatch.setattr(arith, "PRODUCT_TERMS_PER_RESIDUE", 0)
+    by_products, calls = theta_progressions(d0, 80, form)
+    (first, path, shifts), (second, second_path, second_shifts) = calls
+    assert (first, second) == (d0, 4 * d0)
+    assert path == second_path == "products"
+    assert shifts is second_shifts
+    monkeypatch.setattr(arith, "PRODUCT_TERMS_PER_RESIDUE", 10**18)
+    by_terms, calls = theta_progressions(d0, 80, form)
+    assert by_terms.rows == by_products.rows
+    assert [path for _, path, _ in calls] == ["direct", "direct"]
+
+
+def plant_wrong_last_field(monkeypatch):
+    # the last field of every packed sum off by one
+    def planted(value, length, width):
+        fields = real(value, length, width)
+        fields[-1] += 1
+        return fields
+
+    real = arith.unpack_fields
+    monkeypatch.setattr(arith, "unpack_fields", planted)
 
 
 def test_wrong_product_field_exits_3(capsys, monkeypatch):
     # a last row off by one in its field: the term-by-term re-sum catches it
-    def planted(value, length, width):
-        fields = relations_unpack(value, length, width)
-        fields[-1] += 1
-        return fields
-
-    relations_unpack = relations.unpack_fields
-    monkeypatch.setattr(relations, "unpack_fields", planted)
+    plant_wrong_last_field(monkeypatch)
     code = main(["verify", "--d0", "6", "--nmax", "100"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert "error: internal check failed: row products disagree with the direct sums" in captured.err
+
+
+@pytest.mark.parametrize("command", ["cohen", "kronecker"])
+def test_wrong_theta_field_exits_3(capsys, monkeypatch, command):
+    # the unary theta rows are re-summed at their ends too
+    plant_wrong_last_field(monkeypatch)
+    code = main([command, "--nmax", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "error: internal check failed: row products disagree with the direct sums" in captured.err
+
+
+def test_unary_theta_series_take_the_packed_adds():
+    # cohen and kronecker read as many shifts as the rule allows a unary
+    # theta series, isqrt(last) + 1, and take its path
+    calls = []
+
+    def traced(table, shifts, counts, xs):
+        sums, path = traced_theta_rows(table, shifts, counts, xs)
+        calls.append((path, bisect_right(shifts, xs[-1]) - math.isqrt(xs[-1])))
+        return sums
+
+    with (mock.patch.object(relations, "theta_rows", traced),
+          mock.patch.object(qseries, "theta_rows", traced)):
+        verify_kronecker(3000)
+        qseries.cohen_coefficients(3000)
+    assert calls == [("unary", 1), ("unary", 1)]
 
 
 def test_four_times_primitive_rows_are_covered():
