@@ -28,13 +28,14 @@ FACTOR_BOUND = 10**12
 CLASS_NUMBER_BOUND = 10**9
 
 # Largest X for the per-run tables of verify (X = D0*nmax) and kronecker
-# (X = 4*nmax).  On the same machine the class-number table takes 0.04 s at
-# X = 10**5, 0.10 s at 2*10**5 and 0.23 s at 5*10**5 (process peak 33 MiB),
-# and verify holds two level tables of 8*X bytes at a time, whatever the
-# number of levels.  Near the bound, verify 1155 --nmax 432 (7 levels) took
-# 1.3 s and 39 MiB, verify 30030 --nmax 16 (31 levels) 1.2-1.3 s and 35 MiB,
-# verify 6 --nmax 83333 (one level, 41,668 rows) 2.9 s and 52 MiB, and
-# kronecker --nmax 125000 1.4-1.6 s and 59 MiB.
+# (X = 4*nmax).  On the same machine the 12H table that both build
+# (bqf.hurwitz_table) takes 0.03-0.04 s at X = 10**5, 0.06 s at 2*10**5 and
+# 0.22-0.30 s at 5*10**5 (process peak 30 MiB), and verify holds two level
+# tables of 8*X bytes at a time, whatever the number of levels.  Near the
+# bound, verify 1155 --nmax 432 (7 levels) took 1.2-1.7 s and 33 MiB, verify
+# 30030 --nmax 16 (31 levels) 1.1-1.2 s and 32 MiB, verify 6 --nmax 83333
+# (one level, 41,668 rows) 2.6-3.5 s and 48 MiB, and kronecker --nmax 125000
+# 1.4-1.6 s and 59 MiB.
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On

@@ -1,13 +1,13 @@
 """Integral binary quadratic forms: reduction, class numbers, Hurwitz numbers.
 
 Class numbers and Hurwitz numbers come one value at a time, with no state
-kept (``class_number``, ``hurwitz``), or as per-run tables
-(``class_number_table``, ``hurwitz_table``) built from one count of the
-reduced forms of every discriminant up to a bound (``form_count_table``):
-h by Moebius inversion over square divisors, one prime at a time, and 12H
-directly from the count.  The count adds bytes along strided slices and
-moves them into the 32-bit fields of one int (``arith.unpack_fields``)
-before any byte could wrap.
+kept (``class_number``, ``hurwitz``), or as tables (``class_number_table``,
+``hurwitz_table``) built from one count of the reduced forms of every
+discriminant up to a bound (``form_count_table``): h by Moebius inversion
+over square divisors, one prime at a time, and 12H directly from the count.
+``verify`` and ``kronecker`` read only the 12H table.  The count adds bytes
+along strided slices and moves them into the 32-bit fields of one int
+(``arith.unpack_fields``) before any byte could wrap.
 """
 
 from __future__ import annotations

@@ -23,14 +23,15 @@ from .shimura import ShimuraLevel, weighted_class_number
 
 CACHE_ENV_VAR = "HUMBERT_CACHE"
 # A cache file is this line, then h(-k) for k = 0..X as 8-byte signed
-# little-endian fields (the run's class_number_table).
+# little-endian fields (bqf.class_number_table(X)).
 CACHE_HEADER = b"humbert-classnum-cache 2\n"
 
 SELFCHECK_D0 = (10, 15, 21, 33)
 
 
 # ---------------------------------------------------------------------------
-# class-number cache file
+# class-number cache file; verify reads and writes none: --cache and
+# $HUMBERT_CACHE are accepted and do nothing
 
 
 def _little_endian(fields: array) -> array:
@@ -43,11 +44,12 @@ def _little_endian(fields: array) -> array:
 
 
 def load_cache(path: str, class_numbers: array) -> None:
-    """Check a class-number cache file against the run's table of h(-k)
+    """Check a class-number cache file against a table of h(-k)
     (``bqf.class_number_table``); entries that disagree are reported and
     dropped, and no entry is ever used for a result.  A file with another
     header (such as the text format of version 1) or a partial field is
-    ignored entirely, and entries past the table are not checked."""
+    ignored entirely, and entries past the table are not checked.  No command
+    calls it; it stays while the benchmark's tracer hooks it (ROADMAP item 1)."""
     if not os.path.exists(path):
         return
     try:
@@ -72,9 +74,11 @@ def load_cache(path: str, class_numbers: array) -> None:
 
 
 def save_cache(path: str, class_numbers: array) -> None:
-    """Atomically write the run's class numbers h(-k), 0 <= k <= X, in the
+    """Atomically write the class numbers h(-k), 0 <= k <= X, in the
     ``CACHE_HEADER`` format (write-temp-then-rename), with the mode that
-    ``open(path, "wb")`` would give a new file: 0o666 less the umask."""
+    ``open(path, "wb")`` would give a new file: 0o666 less the umask.  No
+    command calls it; it stays while the benchmark's tracer hooks it (ROADMAP
+    item 1)."""
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -92,10 +96,6 @@ def save_cache(path: str, class_numbers: array) -> None:
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _cache_path(args) -> str | None:
-    return getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,6 @@ def cmd_verify(args) -> int:
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
                       for s in skipped],
           **({} if dump is None else {"counterexample": dump})})
-    cache = _cache_path(args)
-    if cache:
-        load_cache(cache, report.class_numbers)
-        save_cache(cache, report.class_numbers)
     if dump is None:
         return 0
     # the json document holds the dump; a csv document has no room for it
@@ -336,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; rows are computed in order in one thread")
     p.add_argument("--cache", type=str, default=None,
-                   help=f"class-number cache file (or ${CACHE_ENV_VAR})")
+                   help=f"accepted for compatibility (as is ${CACHE_ENV_VAR}); "
+                        "no file is read or written")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

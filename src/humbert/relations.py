@@ -10,8 +10,8 @@ Two identities are verified, both as equalities of reduced rationals:
   class-number function over u = a*n, v = c*n mod 2 equals a_n times the
   volume term, with a_n the Cohen-series coefficients.
 
-``verify_relation`` and ``verify_kronecker`` read class numbers from tables
-built once per call (``bqf.class_number_table`` and ``bqf.hurwitz_table``).
+``verify_relation`` and ``verify_kronecker`` read class numbers from one
+table built once per call, the 12H table of ``bqf.hurwitz_table``.
 ``verify_relation`` reads one table of each level at a time
 (``shimura.level_tables``), enumerates half of each form's lattice,
 Q(-v, -u) = Q(v, u), once for all n, folds the 2-power that the level
@@ -37,7 +37,6 @@ carries.  A failed cross-check raises ``InternalCheckError``.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -46,7 +45,7 @@ from operator import add, eq, floordiv, lshift, mod, mul
 from typing import NamedTuple
 
 from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, sigma_table, theta_rows
-from .bqf import BQF, class_number_table, gl2_canonical, hurwitz_table
+from .bqf import BQF, gl2_canonical, hurwitz_table
 from .genus import EligibleForm, eligible_forms
 from .qseries import cohen_coefficients
 from .shimura import (
@@ -103,9 +102,6 @@ class VerificationReport(NamedTuple):
     nmax: int
     rows: list[VerificationRow]
     skipped: list[SkippedForm]
-    # h(-k) for k <= D0*nmax, the table the rows were computed from (only
-    # k = 0 when every form is skipped)
-    class_numbers: array
     # the lattice sum of the first mismatching row, walked point by point
     # with its nonzero terms; None when every row matches
     counterexample: LatticeSum | None
@@ -115,8 +111,7 @@ class VerificationReport(NamedTuple):
         return all(row.match for row in self.rows)
 
     def __repr__(self):
-        # leaves out class_numbers, which can hold 5*10**5 entries, and the
-        # counterexample, whose terms can run to thousands
+        # leaves out the counterexample, whose terms can run to thousands
         return (f"VerificationReport(d0={self.d0!r}, nmax={self.nmax!r}, "
                 f"rows={self.rows!r}, skipped={self.skipped!r})")
 
@@ -308,8 +303,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     for form in forms:
         if form.D > 1:
             by_level.setdefault(ShimuraLevel(form.D, form.N), []).append(form)
-    class_numbers = class_number_table(d0 * nmax if by_level else 0)
-    tables = level_tables(list(by_level), class_numbers) if by_level else ()
+    tables = level_tables(list(by_level), hurwitz_table(d0 * nmax)) if by_level else ()
     cohen = cohen_coefficients(nmax) if by_level else []
     denominator = table_denominator(d0)
     # power[r] = #{q | D0 : q | r}: the table at m = D0*n - j lacks the factor
@@ -378,7 +372,7 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 f"{counterexample.value} over {counterexample.points_visited} terms"
             )
     return VerificationReport(d0=d0, nmax=nmax, rows=rows, skipped=skipped,
-                              class_numbers=class_numbers, counterexample=counterexample)
+                              counterexample=counterexample)
 
 
 def verify_kronecker(nmax: int) -> list[KroneckerRow]:

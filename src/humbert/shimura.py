@@ -8,17 +8,18 @@ by a 2-power and the unit weights, is the class-number function evaluated by
 ``weighted_class_number``; its value at 0 is minus half the curve volume.
 ``weighted_class_number`` keeps no state; ``level_tables`` tabulates the
 same function, without its 2-power, for the levels of one D*N, one level at
-a time.
+a time, from the table of 12*H (``bqf.hurwitz_table``).
 
-The tables rest on one identity.  With P = D*N, omega = omega(P) and
-L = 6*2**omega, L*H_{D,N}(m) = 2**#{q | P : q | m} * sum over s**2 | m of
-c[m/s**2], where c[k] = 6/e(k) * h(-k) * prod over q | P of l_q(k).  Each
-l_q(k) is in {0, 1, 2} and depends only on k mod q**2 (k mod 16 for q = 2):
-1 - (-k|q) at q | D and 1 + (-k|q) at q | N if q does not divide k; 1 if q
-is ramified (q || k, or k = 4, 8 mod 16); 0 at q | D and 2 at q | N if q
-divides the conductor (q**2 | k, or k = 0, 12 mod 16).  Where c[k] is
-nonzero the product is 2**(omega - #ramified), the same for every level; a
-level only decides which residue classes of k are zero.
+The tables rest on one identity.  With u(k) = 12*h(-k)/e(k), e(k) the unit
+weight, 12*H(m) is the sum over s**2 | m of u(m/s**2).  With P = D*N,
+omega = omega(P) and L = 6*2**omega, L*H_{D,N}(m) = 2**#{q | P : q | m} *
+sum over s**2 | m of c[m/s**2], where c[k] = u(k)/2 * prod over q | P of
+l_q(k).  Each l_q(k) is in {0, 1, 2} and depends only on k mod q**2 (k mod
+16 for q = 2): 1 - (-k|q) at q | D and 1 + (-k|q) at q | N if q does not
+divide k; 1 if q is ramified (q || k, or k = 4, 8 mod 16); 0 at q | D and 2
+at q | N if q divides the conductor (q**2 | k, or k = 0, 12 mod 16).  Where
+c[k] is nonzero the product is 2**(omega - #ramified), the same for every
+level; a level only decides which residue classes of k are zero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import repeat
-from operator import add, rshift
+from operator import add, lshift, rshift, sub
 from typing import Iterator, NamedTuple
 
 from . import bqf
@@ -40,7 +41,6 @@ from .arith import (
     is_squarefree,
     kronecker,
     prime_divisors,
-    primes_up_to,
 )
 
 
@@ -158,40 +158,40 @@ def _residue_classes(q: int) -> tuple[list[tuple[int, int]], ...]:
 
 
 def level_tables(levels: list[ShimuraLevel],
-                 class_numbers: array) -> Iterator[tuple[ShimuraLevel, array]]:
+                 hurwitz12: array) -> Iterator[tuple[ShimuraLevel, array]]:
     """For levels sharing one D*N > 1, yields (level, table) one level at a
     time, with table[m] = L*H_{D,N}(m) / 2**#{q | D*N : q | m} for
-    0 <= m <= x, L = table_denominator(D*N) and class_numbers =
-    bqf.class_number_table(x).  The levels are checked at the call.
+    0 <= m <= x, L = table_denominator(D*N) and hurwitz12 =
+    bqf.hurwitz_table(x).  The levels are checked at the call.
 
     Without its 2-power, L*H_{D,N}(m) is the sum over s**2 | m of c[m/s**2]
-    (module docstring), and a nonzero c[k] is 6/e(k) h(-k) L/6 halved once
-    per ramified q.  table[0] is the volume term times L/2**omega = 6, an
-    integer when D*N has an odd prime p (p - 1 or p + 1 is even); otherwise
-    the tables raise ``InternalCheckError``.  The values are built once as
-    one shared array; each level copies it, zeros its split and conductor
-    classes at q | D and inert classes at q | N, and adds the square-divisor
-    sum in place.  The caller applies the 2-power: at the arguments
-    m = D*N*n - j that verify reads, q | m exactly when q | j.
+    (module docstring), a nonzero c[k] is L*u(k)/12 halved once per ramified
+    q, and k*s**2 lies in the residue classes of k when s is prime to D*N.
+    So one shared array is 12*H times 2**(omega - 1), with (1 - T_p) applied
+    at each p | D*N (T_p moves entry k to entry p**2*k) and halved on the
+    ramified classes.  Each level copies it, zeros its split and conductor
+    classes at q | D and inert classes at q | N, and adds back the square
+    divisors at the primes of D*N in place.  table[0] is the volume term
+    times L/2**omega = 6, an integer when D*N has an odd prime p (p - 1 or
+    p + 1 is even); otherwise the tables raise ``InternalCheckError``.  The
+    caller applies the 2-power: at the arguments m = D*N*n - j that verify
+    reads, q | m exactly when q | j.
     """
     products = {level.product for level in levels}
     if len(products) != 1 or products == {1}:
         raise ValueError("level tables need levels with one common D*N > 1")
     (product,) = products
-    x = len(class_numbers) - 1
+    x = len(hurwitz12) - 1
     primes = prime_divisors(product)
-    denominator = table_denominator(product)
     classes = {q: _residue_classes(q) for q in primes}
-    shared = [h * denominator for h in class_numbers]
-    # h(-k) L / e(k), where the unit weight e(k) is 1 except at k = 3 and 4
-    shared[3:5] = [h * denominator // bqf.unit_weight_denominator(-k)
-                   for k, h in enumerate(class_numbers[3:5], 3)]
+    shared = array("q", map(lshift, hurwitz12, repeat(len(primes) - 1)))
+    for p in primes:
+        square = p * p
+        shared[square::square] = array("q", map(sub, shared[square::square],
+                                                shared[1:x // square + 1]))
     for q in primes:
         for start, step in classes[q][0]:
-            shared[start::step] = map(rshift, shared[start::step], repeat(1))
-    shared = array("q", shared)
-    # c[k] = 0 for k < 3, so only the primes with p**2 <= x/3 add anything
-    sieve_primes = primes_up_to(math.isqrt(x // 3))
+            shared[start::step] = array("q", map(rshift, shared[start::step], repeat(1)))
 
     def tables() -> Iterator[tuple[ShimuraLevel, array]]:
         for i, level in enumerate(levels, 1):
@@ -201,10 +201,10 @@ def level_tables(levels: list[ShimuraLevel],
                 _, d_zero, n_zero = classes[q]
                 for start, step in d_zero if level.D % q == 0 else n_zero:
                     table[start::step] = array("q", [0]) * len(range(start, x + 1, step))
-            # the sum over s**2 | m in place, one prime p at a time: with
-            # S = p**2, table[S*j] += table[j] for ascending j, in blocks
+            # the square divisors at the primes p of D*N, in place: with S =
+            # p**2, table[S*j] += table[j] for ascending j, in blocks
             # [S**e, S**(e+1)); a block reads only what the block before it wrote
-            for p in sieve_primes:
+            for p in primes:
                 square = p * p
                 low, high = 0, square
                 while low <= x // square:

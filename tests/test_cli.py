@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from humbert import bqf, genus, relations
-from humbert.cli import main
+from humbert import bqf, genus, relations, shimura
+from humbert.cli import load_cache, main, save_cache
 from humbert.shimura import ShimuraLevel, volume_term
 
 
@@ -270,9 +270,9 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
 
     seen = []
 
-    def tampered(levels, class_numbers):
+    def tampered(levels, hurwitz12):
         # every table level_tables yields, as verify reads it
-        for level, table in real(levels, class_numbers):
+        for level, table in real(levels, hurwitz12):
             for m in range(1, len(table)):
                 table[m] += 1
             seen.append(level)
@@ -380,98 +380,99 @@ def test_verify_jobs_deterministic(capsys):
     assert runs[0][0] == 0
 
 
+@pytest.mark.parametrize("case", ["flag", "env", "missing-dir", "tampered"])
+def test_cache_option_is_accepted_and_ignored(tmp_path, capsys, monkeypatch, case):
+    # --cache and $HUMBERT_CACHE do nothing: no file is read or written, and
+    # stdout, exit code and stderr are those of the plain run
+    argv = ["verify", "--d0", "10", "--nmax", "8"]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    cache = tmp_path / "no-such-dir" / "c.bin" if case == "missing-dir" else tmp_path / "c.bin"
+    if case == "tampered":
+        fields = list(bqf.class_number_table(80))
+        fields[40] = 9   # h(-40) is 2
+        cache.write_bytes(cache_file(fields))
+    before = cache.read_bytes() if cache.exists() else None
+    if case == "env":
+        monkeypatch.setenv("HUMBERT_CACHE", str(cache))
+    else:
+        argv += ["--cache", str(cache)]
+    assert run(capsys, *argv) == (0, plain[1], "")
+    assert (cache.read_bytes() if cache.exists() else None) == before
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_verify_builds_one_table(tmp_path, capsys, monkeypatch):
+    # the 12H table is the one count of reduced forms that verify makes
+    real, calls = bqf.form_count_table, []
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(bqf, "form_count_table", counted)
+    cache = tmp_path / "c.bin"
+    code, _, err = run(capsys, "verify", "--d0", "30", "--nmax", "40", "--cache", str(cache))
+    assert (code, err, calls) == (0, "", [1200])
+    assert not cache.exists()
+    for module in (relations, shimura):
+        for name in ("class_number_table", "primes_up_to"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+# The cache-file format of cli.save_cache and cli.load_cache, which no
+# command calls any more, checked by direct calls on the h table.
+
+
 def test_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "classnums.txt"
-    code1, out1, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20",
-                         "--cache", str(cache))
-    assert code1 == 0 and cache.exists()
+    cache = tmp_path / "classnums.bin"
+    save_cache(str(cache), bqf.class_number_table(80))
     assert cache.read_bytes().startswith(b"humbert-classnum-cache 2\n")
-    # reload with the populated cache: byte-identical output
-    code2, out2, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20",
-                         "--cache", str(cache))
-    assert (code1, out1) == (code2, out2)
-    # and identical to a cache-free run
-    code3, out3, _ = run(capsys, "verify", "--d0", "10", "--nmax", "20")
-    assert out3 == out1
+    load_cache(str(cache), bqf.class_number_table(80))
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cache_corrupt_file_is_ignored(tmp_path, capsys):
     cache = tmp_path / "corrupt.txt"
     cache.write_text("humbert-classnum-cache 1\n-3 not-a-number\n")
-    code, out, err = run(capsys, "verify", "--d0", "10", "--nmax", "8",
-                         "--cache", str(cache))
-    assert code == 0
-    assert "ignoring corrupt cache" in err
-    # the file is rewritten cleanly afterwards
-    assert "not-a-number" not in cache.read_text()
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env-cache.txt"
-    monkeypatch.setenv("HUMBERT_CACHE", str(cache))
-    code, _, _ = run(capsys, "verify", "--d0", "10", "--nmax", "8")
-    assert code == 0
-    assert cache.exists()
-
-
-def test_cache_in_missing_directory_warns_and_exits_0(tmp_path, capsys, monkeypatch):
-    clean = run(capsys, "verify", "--d0", "10", "--nmax", "3")
-    missing = tmp_path / "no-such-dir" / "c.txt"
-    flag = run(capsys, "verify", "--d0", "10", "--nmax", "3", "--cache", str(missing))
-    monkeypatch.setenv("HUMBERT_CACHE", str(tmp_path / "no-such-dir" / "x"))
-    env = run(capsys, "verify", "--d0", "10", "--nmax", "3")
-    for code, out, err in (flag, env):
-        assert code == 0
-        assert out == clean[1]
-        assert "warning: could not write cache file" in err
-    assert not missing.parent.exists()
-
-
-def test_tampered_cache_cannot_change_result(tmp_path, capsys):
-    cache = tmp_path / "tampered.txt"
-    fields = list(bqf.class_number_table(80))
-    fields[40] = 9   # h(-40) is 2
-    cache.write_bytes(cache_file(fields))
-    tampered = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    clean = run(capsys, "verify", "--d0", "10", "--nmax", "8")
-    assert tampered[:2] == clean[:2]
-    assert clean[0] == 0
-    assert "dropping cache entry h(-40) = 9" in tampered[2]
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))   # h(-40) = 2 again
+    load_cache(str(cache), bqf.class_number_table(80))
+    assert "ignoring corrupt cache" in capsys.readouterr().err
+    # a save rewrites it cleanly
+    save_cache(str(cache), bqf.class_number_table(80))
+    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
 def test_cache_file_is_the_table(tmp_path, capsys):
     cache = tmp_path / "classnums.bin"
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "20", "--cache", str(cache))
-    assert (code, err) == (0, "")
+    save_cache(str(cache), bqf.class_number_table(200))
+    assert capsys.readouterr() == ("", "")
     assert cache.read_bytes() == cache_file(bqf.class_number_table(200))
 
 
 def test_cache_from_a_larger_run_is_cut_to_this_run(tmp_path, capsys):
-    # entries past this run's table are not checked, and the rewrite drops them
+    # entries past the table are not checked, and a save drops them
     cache = tmp_path / "classnums.bin"
     cache.write_bytes(cache_file(bqf.class_number_table(200)))
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    assert (code, err) == (0, "")
+    load_cache(str(cache), bqf.class_number_table(80))
+    save_cache(str(cache), bqf.class_number_table(80))
+    assert capsys.readouterr() == ("", "")
     assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
 def test_cache_from_a_smaller_run_is_accepted(tmp_path, capsys):
     cache = tmp_path / "classnums.bin"
     cache.write_bytes(cache_file(bqf.class_number_table(30)))
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    assert (code, err) == (0, "")
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
+    load_cache(str(cache), bqf.class_number_table(80))
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cache_with_a_partial_field_is_ignored(tmp_path, capsys):
     cache = tmp_path / "classnums.bin"
     cache.write_bytes(cache_file(bqf.class_number_table(80))[:-3])
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    assert code == 0
+    load_cache(str(cache), bqf.class_number_table(80))
+    err = capsys.readouterr().err
     assert err.startswith(f"warning: ignoring corrupt cache file {cache}: ")
     assert err.count("\n") == 1
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
 def test_every_tampered_cache_entry_is_reported_in_order(tmp_path, capsys):
@@ -480,21 +481,19 @@ def test_every_tampered_cache_entry_is_reported_in_order(tmp_path, capsys):
     assert (fields[6], fields[40]) == (0, 2)
     fields[6], fields[40] = 5, 9
     cache.write_bytes(cache_file(fields))
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    assert code == 0
-    assert err.splitlines() == [
+    load_cache(str(cache), bqf.class_number_table(80))
+    assert capsys.readouterr().err.splitlines() == [
         "warning: dropping cache entry h(-6) = 5: the class number is 0",
         "warning: dropping cache entry h(-40) = 9: the class number is 2",
     ]
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
 def test_version_1_cache_is_ignored_and_replaced(tmp_path, capsys):
     cache = tmp_path / "classnums.txt"
     cache.write_text("humbert-classnum-cache 1\n-3 1\n-4 1\n")
-    code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
-    assert code == 0
-    assert err == f"warning: ignoring corrupt cache file {cache}: bad header\n"
+    load_cache(str(cache), bqf.class_number_table(80))
+    save_cache(str(cache), bqf.class_number_table(80))
+    assert capsys.readouterr().err == f"warning: ignoring corrupt cache file {cache}: bad header\n"
     assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
 
 
@@ -504,10 +503,10 @@ def test_cache_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
     cache = tmp_path / "classnums.bin"
     previous = os.umask(umask)
     try:
-        code, _, err = run(capsys, "verify", "--d0", "10", "--nmax", "8", "--cache", str(cache))
+        save_cache(str(cache), bqf.class_number_table(80))
     finally:
         os.umask(previous)
-    assert (code, err) == (0, "")
+    assert capsys.readouterr() == ("", "")
     assert cache.stat().st_mode & 0o777 == mode
 
 

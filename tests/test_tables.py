@@ -246,7 +246,7 @@ def doubled(level, table):
 
 @cache
 def folded_level_tables(d0):
-    return dict(level_tables(d0_levels(d0), h_table(20 * d0)))
+    return dict(level_tables(d0_levels(d0), h12_table(20 * d0)))
 
 
 @cache
@@ -410,25 +410,28 @@ def test_level_tables_match_weighted_class_number(d0, m):
 
 
 @pytest.mark.parametrize("d0,x", [*((d0, 20 * d0) for d0 in TABLE_D0), (30030, 30030),
-                                  *((d0, x) for d0 in (6, 30, 1155, 30030) for x in range(21))])
+                                  *((d0, x) for d0 in (6, 30, 1155, 30030) for x in range(21)),
+                                  *((30030, p * p + e) for p in (5, 7, 11, 13) for e in (-1, 0, 1))])
 def test_level_tables_match_oracle(d0, x):
-    # every entry of every level, against the per-m loop; x < 3, x < 4 and x
-    # below the periods 16 and 169 of the residue classes are covered
+    # every entry of every level, against the per-m loop over the class
+    # numbers; x < 3, x < 4, x below the periods 16 and 169 of the residue
+    # classes, and x around p**2, the first entry that (1 - T_p) writes, are
+    # covered
     levels = d0_levels(d0)
-    got = {level: doubled(level, table) for level, table in level_tables(levels, h_table(x))}
+    got = {level: doubled(level, table) for level, table in level_tables(levels, h12_table(x))}
     assert got == level_tables_oracle(levels, h_table(x))
 
 
 def test_level_tables_reject_mixed_levels():
     # at the call, before any table is asked for
     with pytest.raises(ValueError, match="common D\\*N"):
-        level_tables([ShimuraLevel(6, 1), ShimuraLevel(10, 1)], h_table(60))
+        level_tables([ShimuraLevel(6, 1), ShimuraLevel(10, 1)], h12_table(60))
 
 
 def test_level_tables_refuse_inexact_volume_term():
     # a silent shift would put -2 in place of 6 times the volume term -3/2
     with pytest.raises(InternalCheckError, match="volume term"):
-        next(level_tables([ShimuraLevel(1, 2)], h_table(40)))
+        next(level_tables([ShimuraLevel(1, 2)], h12_table(40)))
 
 
 @settings(max_examples=200, deadline=None)
