@@ -2,9 +2,10 @@
 helpers, and ``theta_rows``, the one kernel that sums rows of a theta series
 times a table for the Cohen coefficients and for both relations.
 
-Everything here works on plain Python ints (arbitrary precision) and
-``fractions.Fraction``; no floating point anywhere.  Only ``pack_fields`` and
-``unpack_fields`` know the packed-field format: signs, item sizes, byte order.
+Everything here works on plain Python ints (arbitrary precision) and on
+arrays of fixed-size ints; no floating point anywhere.  Only ``pack_fields``
+and ``unpack_fields`` know the packed-field format: signs, item sizes, byte
+order.
 Only ``theta_rows`` moves packed 64-bit fields.
 """
 
@@ -256,7 +257,7 @@ def unpack_fields(value: int, length: int, width: int) -> array:
     if typecode is None:
         raise InternalCheckError(f"no array typecode has {width}-byte items")
     mask = (1 << 8 * width * length) - 1
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    offset = (_short_sign_bits if length <= 1024 else _sign_bits)(length, width)
     # masked before the offset is added: shifted sums run past length fields
     value = ((value & mask) + offset) ^ offset
     del offset  # freed before the fields are made
@@ -277,18 +278,19 @@ def pack_fields(column: list[int] | array) -> int:
         packed.byteswap()
     # XOR with 2**63 in every 64-bit field turns two's complement fields
     # into offset binary
-    offset = (_short_sign_bits if len(packed) <= 1024 else _sign_bits)(len(packed))
+    offset = (_short_sign_bits if len(packed) <= 1024 else _sign_bits)(len(packed), 8)
     return (int.from_bytes(packed, "little") ^ offset) - offset
 
 
-def _sign_bits(length: int) -> int:
-    # 2**63 in each of ``length`` 64-bit fields
-    return int.from_bytes((bytes(7) + b"\x80") * length, "little")
+def _sign_bits(length: int, width: int) -> int:
+    # 2**(8*width - 1) in each of ``length`` fields of ``width`` bytes
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
 
 
 # The row products pack hundreds of short columns of one or two lengths per
 # progression, and making their offset took about a third of each pack at 25
-# fields.  A long column's offset is not kept: it can take megabytes.
+# fields; short unpacks share the cache.  A long offset is not kept: it can
+# take megabytes.
 _short_sign_bits = lru_cache(maxsize=8)(_sign_bits)
 
 
@@ -311,7 +313,7 @@ def _direct_rows(table, shifts: list[int], counts: list[int], xs, ks) -> list[in
 
 
 def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
-               xs: range) -> list[int] | array:
+               xs: range) -> list[int]:
     """Row x of the sum over shifts[i] <= x of counts[i] * table[x - shifts[i]]
     for each x in the nonempty range ``xs``, with ``shifts`` ascending: the
     coefficients x of a theta series (counts[i] points at shifts[i]) times
@@ -327,8 +329,7 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
     once (``pack_fields``) and decode every row at once (``unpack_fields``).
     They raise InternalCheckError unless the largest |entry| of the columns
     times the sum of the counts is below 2**63, or if their first or last
-    row differs from its term-by-term sum.  The rows come as a list on the
-    direct path and as an array of 8-byte items on the packed paths.
+    row differs from its term-by-term sum.
     """
     x0, step, last = xs[0], xs.step, xs[-1]
     n = bisect_right(shifts, last)
@@ -381,4 +382,4 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
     if ends != direct:
         raise InternalCheckError(f"row products disagree with the direct sums at x = {x0} "
                                  f"and {last}: {ends} != {direct}")
-    return rows
+    return rows.tolist()

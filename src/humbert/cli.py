@@ -14,88 +14,25 @@ import argparse
 import itertools
 import os
 import sys
-from array import array
 from fractions import Fraction
 
 from . import __version__, arith, bqf, genus, relations
 from .qseries import cohen_coefficients
 from .shimura import ShimuraLevel, weighted_class_number
 
-CACHE_ENV_VAR = "HUMBERT_CACHE"
-# A cache file is this line, then h(-k) for k = 0..X as 8-byte signed
-# little-endian fields (bqf.class_number_table(X)).
-CACHE_HEADER = b"humbert-classnum-cache 2\n"
-
 SELFCHECK_D0 = (10, 15, 21, 33)
 
 
 # ---------------------------------------------------------------------------
-# class-number cache file; verify reads and writes none: --cache and
-# $HUMBERT_CACHE are accepted and do nothing
+# class-number cache: --cache and $HUMBERT_CACHE are accepted and do nothing
 
 
-def _little_endian(fields: array) -> array:
-    """``fields`` on a little-endian host, else a byte-swapped copy: the
-    same array either way round between memory and a cache file."""
-    if sys.byteorder == "big":
-        fields = array(fields.typecode, fields)
-        fields.byteswap()
-    return fields
+def load_cache(path: str, class_numbers) -> None:
+    """Does nothing: only a hook of bench/tracer.py until ROADMAP item 1 drops cli.cache_*."""
 
 
-def load_cache(path: str, class_numbers: array) -> None:
-    """Check a class-number cache file against a table of h(-k)
-    (``bqf.class_number_table``); entries that disagree are reported and
-    dropped, and no entry is ever used for a result.  A file with another
-    header (such as the text format of version 1) or a partial field is
-    ignored entirely, and entries past the table are not checked.  No command
-    calls it; it stays while the benchmark's tracer hooks it (ROADMAP item 1)."""
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, "rb") as fh:
-            if fh.readline() != CACHE_HEADER:
-                raise ValueError("bad header")
-            body = fh.read()
-        if len(body) % 8:
-            raise ValueError("partial entry")
-    except (OSError, ValueError) as exc:
-        print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
-        return
-    table = _little_endian(class_numbers).tobytes()
-    common = min(len(body), len(table))
-    if body[:common] == table[:common]:
-        return
-    cached = _little_endian(array("q", body[:common]))
-    for k, (h, true_h) in enumerate(zip(cached, class_numbers)):
-        if h != true_h:
-            print(f"warning: dropping cache entry h({-k}) = {h}: the class number is "
-                  f"{true_h}", file=sys.stderr)
-
-
-def save_cache(path: str, class_numbers: array) -> None:
-    """Atomically write the class numbers h(-k), 0 <= k <= X, in the
-    ``CACHE_HEADER`` format (write-temp-then-rename), with the mode that
-    ``open(path, "wb")`` would give a new file: 0o666 less the umask.  No
-    command calls it; it stays while the benchmark's tracer hooks it (ROADMAP
-    item 1)."""
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = ""
-    # mkstemp makes the file 0o600, and the rename keeps that mode
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".humbert-cache-")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CACHE_HEADER + _little_endian(class_numbers).tobytes())
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except OSError as exc:
-        print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
-        if tmp and os.path.exists(tmp):
-            os.unlink(tmp)
+def save_cache(path: str, class_numbers) -> None:
+    """Does nothing: only a hook of bench/tracer.py until ROADMAP item 1 drops cli.cache_*."""
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; rows are computed in order in one thread")
     p.add_argument("--cache", type=str, default=None,
-                   help=f"accepted for compatibility (as is ${CACHE_ENV_VAR}); "
+                   help="accepted for compatibility (as is $HUMBERT_CACHE); "
                         "no file is read or written")
     add_format(p)
     p.set_defaults(func=cmd_verify)

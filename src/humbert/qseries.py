@@ -219,5 +219,5 @@ def cohen_coefficients(nmax: int) -> list[int]:
     g[2::4] = [8 * s for s in g[2::4]]
     g[1::2] = [-12 * s for s in g[1::2]]
     g[0] = 1
-    return list(theta_rows(g, [x * x for x in range(root + 1)], [1] + [2] * root,
-                           range(nmax + 1)))
+    return theta_rows(g, [x * x for x in range(root + 1)], [1] + [2] * root,
+                      range(nmax + 1))

@@ -408,6 +408,7 @@ def verify_kronecker(nmax: int) -> list[KroneckerRow]:
     # the rows n >= 1 as columns: 12 times the left side, its exact test
     # against 12 times the right side, and one Fraction 2*sigma(n) per row
     lhs12 = list(map(add, theta, map(mul, min_sums[1:], repeat(12))))
+    del theta  # not held while the Fractions are made
     matches = list(map(eq, lhs12, map(mul, sigmas[1:], repeat(24))))
     rhs = list(map(Fraction, map(mul, sigmas[1:], repeat(2))))
     # a matching row's lhs is its rhs; only a mismatch gets its own Fraction

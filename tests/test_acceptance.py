@@ -116,7 +116,7 @@ def test_acceptance_7_determinism(tmp_path):
     rc2, out2 = _run_cli(*args)
     cache = tmp_path / "cache.txt"
     rc3, out3 = _run_cli(*args, "--cache", str(cache))
-    rc4, out4 = _run_cli(*args, "--cache", str(cache))   # warm cache
+    rc4, out4 = _run_cli(*args, "--cache", str(cache))   # the first left nothing to read
     ok = (rc1 == rc2 == rc3 == rc4 == 0
           and out1 == out2 == out3 == out4
           and len(out1) > 0)

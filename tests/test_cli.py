@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,14 +20,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def cache_file(fields) -> bytes:
-    """A class-number cache file holding ``fields`` as h(-k), k = 0, 1, ..."""
-    body = array("q", fields)
-    if sys.byteorder == "big":
-        body.byteswap()
-    return b"humbert-classnum-cache 2\n" + body.tobytes()
 
 
 def test_cohen_text(capsys):
@@ -323,8 +314,11 @@ def test_size_guards_exit_2_before_computing(capsys, monkeypatch):
                  ["hurwitz", "10000000000003"],
                  ["verify", "--d0", "10000000000001", "--nmax", "1"],
                  ["verify", "--d0", "1155", "--nmax", "1000"],
+                 ["verify", "--d0", "1155", "--nmax", "433"],
                  ["kronecker", "--nmax", "200000"],
+                 ["kronecker", "--nmax", "125001"],
                  ["cohen", "--nmax", "1000000000000"],
+                 ["cohen", "--nmax", "200001"],
                  ["forms", "--d0", "62500001"],
                  ["selfcheck", "--d0", "62500001"],
                  ["forms", "--d0", "999999999989"]):
@@ -389,9 +383,8 @@ def test_cache_option_is_accepted_and_ignored(tmp_path, capsys, monkeypatch, cas
     assert plain[0] == 0
     cache = tmp_path / "no-such-dir" / "c.bin" if case == "missing-dir" else tmp_path / "c.bin"
     if case == "tampered":
-        fields = list(bqf.class_number_table(80))
-        fields[40] = 9   # h(-40) is 2
-        cache.write_bytes(cache_file(fields))
+        # the header of the old cache-file format, then bytes no field fits
+        cache.write_bytes(b"humbert-classnum-cache 2\n" + bytes(range(11)))
     before = cache.read_bytes() if cache.exists() else None
     if case == "env":
         monkeypatch.setenv("HUMBERT_CACHE", str(cache))
@@ -420,94 +413,19 @@ def test_verify_builds_one_table(tmp_path, capsys, monkeypatch):
             assert not hasattr(module, name), (module.__name__, name)
 
 
-# The cache-file format of cli.save_cache and cli.load_cache, which no
-# command calls any more, checked by direct calls on the h table.
-
-
-def test_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "classnums.bin"
-    save_cache(str(cache), bqf.class_number_table(80))
-    assert cache.read_bytes().startswith(b"humbert-classnum-cache 2\n")
-    load_cache(str(cache), bqf.class_number_table(80))
+def test_cache_hooks_do_nothing(tmp_path, capsys):
+    # cli.save_cache and cli.load_cache stay only as names the benchmark's
+    # tracer hooks: neither makes, reads nor changes a file, nor prints
+    table = bqf.class_number_table(80)
+    absent = tmp_path / "absent.bin"
+    save_cache(str(absent), table)
+    assert not absent.exists()
+    present = tmp_path / "present.bin"
+    present.write_bytes(b"humbert-classnum-cache 2\n\x01\x02\x03")
+    load_cache(str(present), table)
+    save_cache(str(present), table)
+    assert present.read_bytes() == b"humbert-classnum-cache 2\n\x01\x02\x03"
     assert capsys.readouterr() == ("", "")
-
-
-def test_cache_corrupt_file_is_ignored(tmp_path, capsys):
-    cache = tmp_path / "corrupt.txt"
-    cache.write_text("humbert-classnum-cache 1\n-3 not-a-number\n")
-    load_cache(str(cache), bqf.class_number_table(80))
-    assert "ignoring corrupt cache" in capsys.readouterr().err
-    # a save rewrites it cleanly
-    save_cache(str(cache), bqf.class_number_table(80))
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
-
-
-def test_cache_file_is_the_table(tmp_path, capsys):
-    cache = tmp_path / "classnums.bin"
-    save_cache(str(cache), bqf.class_number_table(200))
-    assert capsys.readouterr() == ("", "")
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(200))
-
-
-def test_cache_from_a_larger_run_is_cut_to_this_run(tmp_path, capsys):
-    # entries past the table are not checked, and a save drops them
-    cache = tmp_path / "classnums.bin"
-    cache.write_bytes(cache_file(bqf.class_number_table(200)))
-    load_cache(str(cache), bqf.class_number_table(80))
-    save_cache(str(cache), bqf.class_number_table(80))
-    assert capsys.readouterr() == ("", "")
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
-
-
-def test_cache_from_a_smaller_run_is_accepted(tmp_path, capsys):
-    cache = tmp_path / "classnums.bin"
-    cache.write_bytes(cache_file(bqf.class_number_table(30)))
-    load_cache(str(cache), bqf.class_number_table(80))
-    assert capsys.readouterr() == ("", "")
-
-
-def test_cache_with_a_partial_field_is_ignored(tmp_path, capsys):
-    cache = tmp_path / "classnums.bin"
-    cache.write_bytes(cache_file(bqf.class_number_table(80))[:-3])
-    load_cache(str(cache), bqf.class_number_table(80))
-    err = capsys.readouterr().err
-    assert err.startswith(f"warning: ignoring corrupt cache file {cache}: ")
-    assert err.count("\n") == 1
-
-
-def test_every_tampered_cache_entry_is_reported_in_order(tmp_path, capsys):
-    cache = tmp_path / "classnums.bin"
-    fields = list(bqf.class_number_table(80))
-    assert (fields[6], fields[40]) == (0, 2)
-    fields[6], fields[40] = 5, 9
-    cache.write_bytes(cache_file(fields))
-    load_cache(str(cache), bqf.class_number_table(80))
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: dropping cache entry h(-6) = 5: the class number is 0",
-        "warning: dropping cache entry h(-40) = 9: the class number is 2",
-    ]
-
-
-def test_version_1_cache_is_ignored_and_replaced(tmp_path, capsys):
-    cache = tmp_path / "classnums.txt"
-    cache.write_text("humbert-classnum-cache 1\n-3 1\n-4 1\n")
-    load_cache(str(cache), bqf.class_number_table(80))
-    save_cache(str(cache), bqf.class_number_table(80))
-    assert capsys.readouterr().err == f"warning: ignoring corrupt cache file {cache}: bad header\n"
-    assert cache.read_bytes() == cache_file(bqf.class_number_table(80))
-
-
-@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
-def test_cache_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
-    # the mode open(path, "wb") gives a new file, not mkstemp's 0o600
-    cache = tmp_path / "classnums.bin"
-    previous = os.umask(umask)
-    try:
-        save_cache(str(cache), bqf.class_number_table(80))
-    finally:
-        os.umask(previous)
-    assert capsys.readouterr() == ("", "")
-    assert cache.stat().st_mode & 0o777 == mode
 
 
 def test_selfcheck_single_d0(capsys):
