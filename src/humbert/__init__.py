@@ -1,16 +1,16 @@
 """Exact arithmetic for class-number relations of quadratic forms.
 
 The package computes Hurwitz class numbers, Shimura-curve class-number
-functions, genus characters of eligible quadratic forms, Cohen-series
-coefficients, and verifies the resulting class-number relations with exact
-rational arithmetic.  See the ``humbert`` command-line tool for the
-user-facing entry points.
+functions, genus characters of eligible quadratic forms and the Cohen
+coefficients a_n from a divisor sieve, and verifies the resulting
+class-number relations with exact rational arithmetic.  See the ``humbert``
+command-line tool for the user-facing entry points.
 """
 
 from .arith import factor, fundamental_decomposition, is_squarefree, kronecker, sigma
 from .bqf import BQF, class_number, hurwitz, reduce, reduced_forms
 from .genus import EligibleForm, eligible_forms, genus_character
-from .qseries import QSeries, cohen_coefficients, eta_power, theta
+from .qseries import cohen_coefficients
 from .relations import verify_kronecker, verify_relation
 from .shimura import ShimuraLevel, weighted_class_number
 
@@ -33,7 +33,6 @@ __all__ = [
     "BQF",
     "EligibleForm",
     "OrderBasis",
-    "QSeries",
     "Quaternion",
     "ShimuraLevel",
     "SingularRelation",
@@ -41,7 +40,6 @@ __all__ = [
     "class_number",
     "cohen_coefficients",
     "eligible_forms",
-    "eta_power",
     "factor",
     "fundamental_decomposition",
     "genus_character",
@@ -51,7 +49,6 @@ __all__ = [
     "reduce",
     "reduced_forms",
     "sigma",
-    "theta",
     "verify_kronecker",
     "verify_relation",
     "weighted_class_number",

@@ -30,8 +30,9 @@ tuple of its nonzero terms, and keeps no state; the tables, built per run,
 are the only reuse.  ``verify_relation`` walks the first mismatching row
 once with it: that one walk confirms the table row's left-hand side and
 term count, and its nonzero terms are the counterexample the report
-carries.  A failed cross-check raises ``InternalCheckError``.
-``verification_row`` is the tests' point-by-point reference for a whole row.
+carries.  A failed cross-check raises ``InternalCheckError``.  The
+point-by-point reference for a whole row, the lattice sum against a_n times
+the volume term, lives in the tests.
 """
 
 from __future__ import annotations
@@ -173,49 +174,15 @@ def lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
     return LatticeSum(value=total, points_visited=visited, terms=tuple(terms))
 
 
-def _rewritten_quarter_sum(form: EligibleForm, n: int) -> Fraction:
-    # Independent evaluation for four-times forms: both parities force u, v
-    # even, so the sum collapses to all integer pairs against the quarter form.
-    qq = form.character_form
-    d0 = form.d0
-    level = ShimuraLevel(form.D, form.N)
-    total = Fraction(0)
-    ubox = math.isqrt(4 * qq.c * n) + 1
-    vbox = math.isqrt(4 * qq.a * n) + 1
-    for u in range(-ubox, ubox + 1):
-        for v in range(-vbox, vbox + 1):
-            m = d0 * n - 4 * qq(u, v)
-            if m >= 0:
-                total += weighted_class_number(level, m)
-    return total
-
-
 def verification_row(form: EligibleForm, n: int) -> VerificationRow:
-    """One exact comparison of the two sides, with the quarter-form
-    cross-check applied where it exists.
+    """Not part of the library; raises NotImplementedError.
 
-    The tests' point-by-point reference for a row of ``verify_relation``,
-    which does not call it.  It stays here because the benchmark's tracer
-    hooks it; it moves to the tests once the benchmark no longer does
-    (ROADMAP item 1)."""
-    stats = lattice_sum(form, n)
-    lhs = stats.value
-    # For four-times-primitive forms the collapsed sum over the quarter form
-    # is evaluated independently and must agree.
-    if form.kind == "four_times_primitive":
-        rewritten = _rewritten_quarter_sum(form, n)
-        if rewritten != lhs:
-            raise InternalCheckError(
-                f"rewritten quarter-form sum disagrees: {rewritten} != {lhs}"
-            )
-    # one Cohen sieve per row, for a_n and for the right-hand side
-    a_n = cohen_coefficients(n)[n]
-    rhs = a_n * volume_term(ShimuraLevel(form.D, form.N))
-    return VerificationRow(
-        d0=form.d0, form=form.form, D=form.D, N=form.N, n=n,
-        lhs=lhs, rhs=rhs, a_n=a_n, match=lhs == rhs,
-        term_count=stats.points_visited,
-    )
+    The name stays only as the hook point of the ``relations.rows`` and
+    ``relations.row_*_s`` metrics of bench/tracer.py, until ROADMAP item 1
+    drops them.  The point-by-point row is the tests' oracle,
+    ``verification_row`` in tests/test_relations.py."""
+    raise NotImplementedError("relations.verification_row is not part of the library: the "
+                              "point-by-point row is the oracle in tests/test_relations.py")
 
 
 def _lattice_values(a: int, b: int, c: int, bound: int, u_par: int, v_par: int,

@@ -14,6 +14,7 @@ import pytest
 from humbert import bqf, genus, relations, shimura
 from humbert.cli import load_cache, main, save_cache
 from humbert.shimura import ShimuraLevel, volume_term
+from test_relations import verification_row
 
 
 def run(capsys, *argv):
@@ -202,7 +203,7 @@ def test_verify_mismatch_prints_both_sides(capsys, monkeypatch):
     # a_1 + 1 changes only the right side of row n = 1: its lhs stays the
     # lattice sum, its rhs is the perturbed a_1 times the volume term
     form = next(f for f in relations.eligible_forms(10) if f.D > 1)
-    lhs = relations.verification_row(form, 1).lhs
+    lhs = verification_row(form, 1).lhs
     rhs = (relations.cohen_coefficients(1)[1] + 1) * volume_term(ShimuraLevel(form.D, form.N))
     assert lhs != rhs
     plant_cohen_mismatch(monkeypatch, 1)

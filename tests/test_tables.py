@@ -37,12 +37,7 @@ from humbert.bqf import (
 )
 from humbert.cli import main
 from humbert.genus import eligible_forms
-from humbert.relations import (
-    _theta_class,
-    verification_row,
-    verify_kronecker,
-    verify_relation,
-)
+from humbert.relations import _theta_class, verify_kronecker, verify_relation
 from humbert.shimura import (
     ShimuraLevel,
     level_tables,
@@ -51,6 +46,7 @@ from humbert.shimura import (
     weighted_class_number,
 )
 from test_arith import smallest_prime_factor_sieve, theta_rows_oracle, traced_theta_rows
+from test_relations import verification_row
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
 LEVEL_D0 = (2, 3, 6, 10, 15, 30, 35, 39, 42, 210, 1155)

@@ -1,15 +1,12 @@
 """The value types are immutable named tuples: fields cannot be set, the
-hashable ones serve as dict keys, forms sort by (a, b, c), and the checked
-constructors reject bad input."""
+hashable ones serve as dict keys, and forms sort by (a, b, c)."""
 
-from fractions import Fraction
 from functools import cache
 
 import pytest
 
 from humbert.bqf import BQF
 from humbert.genus import eligible_forms
-from humbert.qseries import QSeries
 from humbert.relations import verify_relation
 from humbert.shimura import ShimuraLevel
 
@@ -54,14 +51,6 @@ def test_forms_sort_by_coefficients():
     assert sorted(forms) == [BQF(1, 0, 40), BQF(4, 4, 9), BQF(4, 4, 11),
                              BQF(5, -2, 17), BQF(5, 2, 17)]
     assert BQF(2, 9, 9) < BQF(3, -9, -9)
-
-
-def test_qseries_constructor_checks():
-    with pytest.raises(ValueError, match="denominator dividing 24"):
-        QSeries(Fraction(1, 5), (1,))
-    with pytest.raises(ValueError, match="at least one stored coefficient"):
-        QSeries(Fraction(0), ())
-    assert QSeries(Fraction(1, 24), (1, 2)).coefficient(Fraction(25, 24)) == 2
 
 
 def test_report_repr_leaves_out_the_class_number_table():
