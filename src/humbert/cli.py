@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -137,14 +138,31 @@ def cmd_hdn(args) -> int:
     return 0
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q >= 1, without making the Fraction."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if g == q else f"{p // g}/{q // g}"
+
+
 def _counterexample(report: relations.VerificationReport) -> dict:
     """The first mismatching row and the nonzero terms of its lattice sum,
     with the rationals as "p/q" strings."""
-    row = next(r for r in report.rows if not r.match)
+    row = report.rows.first_mismatch()
     return {"D0": row.d0, "a": row.form.a, "b": row.form.b, "c": row.form.c, "n": row.n,
             "lhs": str(row.lhs), "rhs": str(row.rhs), "a_n": row.a_n,
             "terms": [{"u": u, "v": v, "m": str(m), "H": str(h)}
                       for u, v, m, h in report.counterexample.terms]}
+
+
+def _verify_sides(blocks):
+    # (form, n, lhs, rhs, match) of each row, the sides as "p/q" strings; a
+    # matching row prints one string for both
+    for block in blocks:
+        form, denominator = block.form, block.denominator
+        for n, numerator, target, match in zip(block.n, block.numerators, block.targets,
+                                               block.match):
+            rhs = _ratio(target, denominator)
+            yield form, n, rhs if match else _ratio(numerator, denominator), rhs, match
 
 
 def cmd_verify(args) -> int:
@@ -157,19 +175,20 @@ def cmd_verify(args) -> int:
             return 2
         only_form = bqf.BQF(a, b, c)
     report = relations.verify_relation(args.d0, args.nmax, only_form)
-    rows, skipped, all_match = report.rows, report.skipped, report.all_match
+    blocks, skipped, all_match = report.rows.blocks, report.skipped, report.all_match
     dump = None if all_match else _counterexample(report)
     text = itertools.chain(
         (f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}"
          for s in skipped),
-        (f"D0={r.d0} form=({r.form.a},{r.form.b},{r.form.c}) D={r.D} N={r.N} "
-         f"n={r.n} lhs={r.lhs} rhs={r.rhs} match={r.match}" for r in rows),
-        [f"all_match={all_match} rows={len(rows)} skipped={len(skipped)}"])
+        (f"D0={f.d0} form=({f.form.a},{f.form.b},{f.form.c}) D={f.D} N={f.N} "
+         f"n={n} lhs={lhs} rhs={rhs} match={match}"
+         for f, n, lhs, rhs, match in _verify_sides(blocks)),
+        [f"all_match={all_match} rows={len(report.rows)} skipped={len(skipped)}"])
     emit(args, "verify", {"d0": args.d0, "nmax": args.nmax, "jobs": args.jobs},
          ["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"],
-         ({"D0": r.d0, "a": r.form.a, "b": r.form.b, "c": r.form.c,
-           "D": r.D, "N": r.N, "n": r.n, "lhs": str(r.lhs),
-           "rhs": str(r.rhs), "match": r.match} for r in rows),
+         ({"D0": f.d0, "a": f.form.a, "b": f.form.b, "c": f.form.c, "D": f.D, "N": f.N,
+           "n": n, "lhs": lhs, "rhs": rhs, "match": match}
+          for f, n, lhs, rhs, match in _verify_sides(blocks)),
          text, all_match,
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
                       for s in skipped],
@@ -185,14 +204,24 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _kronecker_sides(columns: relations.KroneckerColumns):
+    # (n, lhs, rhs, match) of each row, the sides as "p/q" strings; a
+    # matching row prints 2*sigma(n) for both
+    for n, lhs12, rhs, match in zip(itertools.count(1), columns.lhs12, columns.rhs, columns.match):
+        rhs = str(rhs)
+        yield n, rhs if match else _ratio(lhs12, 12), rhs, match
+
+
 def cmd_kronecker(args) -> int:
     rows = relations.verify_kronecker(args.nmax)
-    all_match = all(r.match for r in rows)
+    (columns,) = rows.blocks
+    all_match = rows.first_mismatch() is None
     emit(args, "kronecker", {"nmax": args.nmax}, ["n", "lhs", "rhs", "match"],
-         ({"n": r.n, "lhs": str(r.lhs), "rhs": str(r.rhs), "match": r.match}
-          for r in rows),
-         itertools.chain((f"n={r.n} lhs={r.lhs} rhs={r.rhs} match={r.match}"
-                          for r in rows), [f"all_match={all_match}"]),
+         ({"n": n, "lhs": lhs, "rhs": rhs, "match": match}
+          for n, lhs, rhs, match in _kronecker_sides(columns)),
+         itertools.chain((f"n={n} lhs={lhs} rhs={rhs} match={match}"
+                          for n, lhs, rhs, match in _kronecker_sides(columns)),
+                         [f"all_match={all_match}"]),
          all_match)
     return 0 if all_match else 1
 

@@ -21,9 +21,12 @@ are rows of a theta series times a table, summed by the one kernel
 ``arith.theta_rows``: the binary theta series of a form's lattice for
 ``verify_relation``, one progression of rows n = n0 mod 4 at a time, and the
 squares against the 12H table (12*H(0) = -1 included) for
-``verify_kronecker``, which adds its divisor sums as strided slices.  In
-the rows of both, built from integer columns, the match is one integer
-equality over the one denominator, and a matching row's ``lhs`` and
+``verify_kronecker``, which adds its divisor sums as strided slices.  Both
+keep their rows as those integer columns, one ``KroneckerColumns`` or one
+``FormColumns`` per form, in one lazy sequence type, ``Rows``: sized and
+indexable like a list, it makes a row, with its ``Fraction`` values, only
+when the row is read.  A row's match is one integer equality over the one
+denominator, read from the match column, and a matching row's ``lhs`` and
 ``rhs`` are one ``Fraction``.
 ``lattice_sum`` evaluates one row point by point into one total and the
 tuple of its nonzero terms, and keeps no state; the tables, built per run,
@@ -41,8 +44,8 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, filterfalse, repeat
-from operator import add, eq, floordiv, lshift, mod, mul
+from itertools import accumulate, islice, repeat
+from operator import add, eq, floordiv, index, lshift, mod, mul
 from typing import NamedTuple
 
 from .arith import TABLE_BOUND, InternalCheckError, prime_divisors, sigma_table, theta_rows
@@ -101,7 +104,7 @@ class SkippedForm(NamedTuple):
 class VerificationReport(NamedTuple):
     d0: int
     nmax: int
-    rows: list[VerificationRow]
+    rows: Rows
     skipped: list[SkippedForm]
     # the lattice sum of the first mismatching row, walked point by point
     # with its nonzero terms; None when every row matches
@@ -109,7 +112,7 @@ class VerificationReport(NamedTuple):
 
     @property
     def all_match(self) -> bool:
-        return all(row.match for row in self.rows)
+        return self.rows.first_mismatch() is None
 
     def __repr__(self):
         # leaves out the counterexample, whose terms can run to thousands
@@ -122,6 +125,93 @@ class KroneckerRow(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     match: bool
+
+
+class FormColumns:
+    """The rows of one ``EligibleForm`` as integer lists over the one
+    denominator L: row i is n[i], with lhs numerators[i]/L and rhs
+    targets[i]/L, L times a_n[i] times the volume term, its term count and
+    its match, a bool."""
+
+    __slots__ = ("form", "denominator", "n", "numerators", "targets", "a_n", "term_counts",
+                 "match")
+
+    def __init__(self, form, denominator, n, numerators, targets, a_n, term_counts, match):
+        self.form, self.denominator, self.n = form, denominator, n
+        self.numerators, self.targets, self.a_n = numerators, targets, a_n
+        self.term_counts, self.match = term_counts, match
+
+    def row(self, i: int) -> VerificationRow:
+        form, match = self.form, self.match[i]
+        rhs = Fraction(self.targets[i], self.denominator)
+        lhs = rhs if match else Fraction(self.numerators[i], self.denominator)
+        return VerificationRow(d0=form.d0, form=form.form, D=form.D, N=form.N, n=self.n[i],
+                               lhs=lhs, rhs=rhs, a_n=self.a_n[i], match=match,
+                               term_count=self.term_counts[i])
+
+
+class KroneckerColumns:
+    """The rows n = i + 1 of the Hurwitz-Kronecker relation as integer
+    lists: 12 times the left side, the right side 2*sigma(n), and the
+    match, a bool, 12*lhs = 12*rhs."""
+
+    __slots__ = ("lhs12", "rhs", "match")
+
+    def __init__(self, lhs12, rhs, match):
+        self.lhs12, self.rhs, self.match = lhs12, rhs, match
+
+    def row(self, i: int) -> KroneckerRow:
+        match = self.match[i]
+        rhs = Fraction(self.rhs[i])
+        return KroneckerRow(i + 1, rhs if match else Fraction(self.lhs12[i], 12), rhs, match)
+
+
+class Rows:
+    """The rows of a relation, kept as the integer columns of its blocks
+    (``FormColumns`` or ``KroneckerColumns``), one block after another.
+
+    Sized and indexable like a list, negative indices included; a row and
+    its ``Fraction`` values are made only when the row is read.  Two
+    sequences are equal when their rows are."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+
+    def __len__(self) -> int:
+        return sum(len(block.match) for block in self.blocks)
+
+    def __getitem__(self, i: int):
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        if i >= 0:
+            for block in self.blocks:
+                if i < len(block.match):
+                    return block.row(i)
+                i -= len(block.match)
+        raise IndexError("row index out of range")
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from map(block.row, range(len(block.match)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def first_mismatch(self):
+        """The first row that does not match, found in the match columns;
+        None when every row matches."""
+        for block in self.blocks:
+            if False in block.match:
+                return block.row(block.match.index(False))
+        return None
 
 
 def lattice_sum(form: EligibleForm, n: int) -> LatticeSum:
@@ -249,10 +339,12 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
     so each T[j] is multiplied by it once.  The forms are summed level by
     level, one table held at a time.  The rows n = n0 mod 4 of a form, x =
     D0*n0 + 4*D0*k for n0 = 1 and 4, read one class and are summed as one
-    progression by ``arith.theta_rows``.  The first mismatching row is
-    walked once by ``lattice_sum``: that walk must agree with the row's lhs
-    and term count, or ``InternalCheckError`` is raised, and it is the
-    report's ``counterexample``, nonzero terms included.  Rejects D0*nmax >
+    progression by ``arith.theta_rows``.  The report's rows are ``Rows``
+    over one ``FormColumns`` per form.  The first mismatching row, found in
+    the match columns, is walked once by ``lattice_sum``: that walk must
+    agree with the row's lhs and term count, or ``InternalCheckError`` is
+    raised, and it is the report's ``counterexample``, nonzero terms
+    included.  Rejects D0*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
@@ -271,24 +363,28 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
         if form.D > 1:
             by_level.setdefault(ShimuraLevel(form.D, form.N), []).append(form)
     tables = level_tables(list(by_level), hurwitz_table(d0 * nmax)) if by_level else ()
-    cohen = cohen_coefficients(nmax) if by_level else []
+    # the rows' n, 1, 4, 5, 8, ...: n = 1 mod 4 at the even and n = 0 mod 4
+    # at the odd positions of every column
+    ns = [n for n in range(1, nmax + 1) if n % 4 in (0, 1)]
+    a_n = list(map(cohen_coefficients(nmax).__getitem__, ns)) if by_level else []
     denominator = table_denominator(d0)
     # power[r] = #{q | D0 : q | r}: the table at m = D0*n - j lacks the factor
     # 2**#{q | D0 : q | m}, and q | m exactly when q | j
     power = [0] * d0
     for q in prime_divisors(d0):
         power[::q] = map(add, power[::q], repeat(1))
-    form_rows: dict[BQF, list[VerificationRow]] = {}
+    blocks: dict[BQF, FormColumns] = {}
     for level, table in tables:
         # L times the volume term, for the right-hand side a_n * volume / L
         volume = int(denominator * volume_term(level))
+        targets = list(map(mul, a_n, repeat(volume)))
         for form in by_level[level]:
             # per parity class: the shifts j, the folded counts, and points[i],
             # the number of lattice points with j < shifts[i] (the term count)
             classes: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
-            numerators = [0] * (nmax + 1)
-            term_counts = [0] * (nmax + 1)
-            for n0 in (1, 4):
+            numerators = [0] * len(ns)
+            term_counts = [0] * len(ns)
+            for start, n0 in enumerate((1, 4)):
                 # the rows n = n0 mod 4, at x = D0*n; they all read one class
                 xs = range(d0 * n0, d0 * nmax + 1, 4 * d0)
                 if not xs:
@@ -304,30 +400,18 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                 # row x reads the shifts j <= x: the boundary points j = x read
                 # table[0], 6 times the volume term, with the weight
                 # 2**omega(D0): L times the volume term
-                numerators[n0::4] = theta_rows(table, shifts, counts, xs)
-                term_counts[n0::4] = map(points.__getitem__,
-                                         map(bisect_right, repeat(shifts), xs))
-            rows = form_rows[form.form] = []
-            for n in range(1, nmax + 1):
-                if n % 4 in (2, 3):
-                    continue
-                numerator = numerators[n]
-                # both sides over the one denominator L: the numerators decide
-                # the match, and a matching row's lhs is its rhs
-                target = cohen[n] * volume
-                match = numerator == target
-                rhs = Fraction(target, denominator)
-                lhs = rhs if match else Fraction(numerator, denominator)
-                rows.append(VerificationRow(
-                    d0=d0, form=form.form, D=form.D, N=form.N, n=n,
-                    lhs=lhs, rhs=rhs, a_n=cohen[n], match=match,
-                    term_count=term_counts[n],
-                ))
-    rows = [row for form in forms if form.D > 1 for row in form_rows[form.form]]
+                numerators[start::2] = theta_rows(table, shifts, counts, xs)
+                term_counts[start::2] = map(points.__getitem__,
+                                            map(bisect_right, repeat(shifts), xs))
+            # both sides over the one denominator L: the numerators decide
+            # the match
+            blocks[form.form] = FormColumns(form, denominator, ns, numerators, targets, a_n,
+                                            term_counts, list(map(eq, numerators, targets)))
+    rows = Rows(blocks[form.form] for form in forms if form.D > 1)
     skipped = [SkippedForm(d0=d0, form=form.form, D=form.D, N=form.N,
                            reason="relation proved only for D > 1 (modular curve needs cusp terms)")
                for form in forms if form.D == 1]
-    mismatch = next((row for row in rows if not row.match), None)
+    mismatch = rows.first_mismatch()
     counterexample = None
     if mismatch is not None:
         form = next(f for f in forms if f.form == mismatch.form)
@@ -342,44 +426,39 @@ def verify_relation(d0: int, nmax: int, only_form: BQF | None = None) -> Verific
                               counterexample=counterexample)
 
 
-def verify_kronecker(nmax: int) -> list[KroneckerRow]:
+def verify_kronecker(nmax: int) -> Rows:
     """Check the Hurwitz-Kronecker relation for 1 <= n <= nmax, exactly.
 
     The theta sum over x of 12*H(4n - x**2) is row 4n of theta times the
     table of 12*H(m) for m <= 4*nmax (``bqf.hurwitz_table``, and
     ``arith.theta_rows``).  The sums
     of min(d, n/d) come from a divisor sieve over d <= sqrt(nmax), and
-    sigma(n) from ``arith.sigma_table``.  The rows come from these integer
-    columns: row n matches when 12 times its left side equals 24*sigma(n),
-    and holds one ``Fraction`` 2*sigma(n) as both ``lhs`` and ``rhs`` then;
-    a mismatching row's ``lhs`` is its own ``Fraction``.  Rejects 4*nmax >
+    sigma(n) from ``arith.sigma_table``.  The rows stay these integer
+    columns, one ``KroneckerColumns`` in ``Rows``: row n matches when 12
+    times its left side equals 24*sigma(n), and when read holds one
+    ``Fraction`` 2*sigma(n) as both ``lhs`` and ``rhs`` then; a mismatching
+    row's ``lhs`` is its own ``Fraction``.  Rejects 4*nmax >
     arith.TABLE_BOUND before any work.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if 4 * nmax > TABLE_BOUND:
         raise ValueError(f"input too large: 4*nmax = {4 * nmax} exceeds the table bound {TABLE_BOUND}")
-    hurwitz12 = hurwitz_table(4 * nmax)
     # 12 times the theta sum at 4n: 12*H(4n - x**2), once for x = 0 and
-    # twice for x and -x > 0
+    # twice for x and -x > 0; the table is dropped once it is read
     xmax = math.isqrt(4 * nmax)
-    theta = theta_rows(hurwitz12, [x * x for x in range(xmax + 1)], [1] + [2] * xmax,
-                       range(4, 4 * nmax + 1, 4))
+    theta = theta_rows(hurwitz_table(4 * nmax), [x * x for x in range(xmax + 1)],
+                       [1] + [2] * xmax, range(4, 4 * nmax + 1, 4))
     # min(d, e) over the divisor pairs d*e = n with d <= e
     min_sums = [0] * (nmax + 1)
     for d in range(1, math.isqrt(nmax) + 1):
         square = d * d
         min_sums[square] += d
         min_sums[square + d::d] = map(add, min_sums[square + d::d], repeat(2 * d))
-    sigmas = sigma_table(nmax)
-    # the rows n >= 1 as columns: 12 times the left side, its exact test
-    # against 12 times the right side, and one Fraction 2*sigma(n) per row
-    lhs12 = list(map(add, theta, map(mul, min_sums[1:], repeat(12))))
-    del theta  # not held while the Fractions are made
-    matches = list(map(eq, lhs12, map(mul, sigmas[1:], repeat(24))))
-    rhs = list(map(Fraction, map(mul, sigmas[1:], repeat(2))))
-    # a matching row's lhs is its rhs; only a mismatch gets its own Fraction
-    lhs = rhs.copy()
-    for i in filterfalse(matches.__getitem__, range(nmax)):
-        lhs[i] = Fraction(lhs12[i], 12)
-    return list(map(KroneckerRow._make, zip(range(1, nmax + 1), lhs, rhs, matches)))
+    # the rows n >= 1 as columns: 12 times the left side, the right side
+    # 2*sigma(n), and the exact test 12*lhs = 24*sigma(n); each input column
+    # is dropped once it is read
+    lhs12 = list(map(add, theta, map(mul, islice(min_sums, 1, None), repeat(12))))
+    del theta, min_sums
+    rhs = list(map(mul, islice(sigma_table(nmax), 1, None), repeat(2)))
+    return Rows([KroneckerColumns(lhs12, rhs, list(map(eq, lhs12, map(mul, rhs, repeat(12)))))])
