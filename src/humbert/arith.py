@@ -3,10 +3,11 @@ helpers, and ``theta_rows``, the one kernel that sums rows of a theta series
 times a table for the Cohen coefficients and for both relations.
 
 Everything here works on plain Python ints (arbitrary precision) and on
-arrays of fixed-size ints; no floating point anywhere.  Only ``pack_fields``
-and ``unpack_fields`` know the packed-field format: signs, item sizes, byte
-order.
-Only ``theta_rows`` moves packed 64-bit fields.
+arrays of fixed-size ints; no floating point anywhere.  Only ``pack_fields``,
+``unpack_fields`` and ``widen_fields`` know the packed-field format: signs,
+item sizes, byte order.  ``theta_rows`` moves packed fields of 4 or 8 bytes,
+whichever its overflow guard allows; ``bqf`` packs the form counts in 4-byte
+fields and reads them through ``unpack_fields`` or ``widen_fields``.
 """
 
 from __future__ import annotations
@@ -30,20 +31,21 @@ CLASS_NUMBER_BOUND = 10**9
 
 # Largest X for the per-run tables of verify (X = D0*nmax) and kronecker
 # (X = 4*nmax).  On the same machine the 12H table that both build
-# (bqf.hurwitz_table) takes 0.03-0.04 s at X = 10**5, 0.06 s at 2*10**5 and
-# 0.22-0.30 s at 5*10**5 (process peak 30 MiB), and verify holds two level
+# (bqf.hurwitz_table) takes 0.02 s at X = 10**5, 0.04-0.07 s at 2*10**5 and
+# 0.16-0.17 s at 5*10**5 (process peak 26 MiB), and verify holds two level
 # tables of 8*X bytes at a time, whatever the number of levels.  Near the
-# bound, verify 1155 --nmax 432 (7 levels) took 1.2-1.7 s and 33 MiB, verify
-# 30030 --nmax 16 (31 levels) 1.1-1.2 s and 32 MiB, verify 6 --nmax 83333
-# (one level, 41,668 rows) 2.6-3.5 s and 48 MiB, and kronecker --nmax 125000
-# 1.4-1.6 s and 59 MiB.
+# bound, verify 1155 --nmax 432 (7 levels) took 1.0-1.7 s and 36 MiB, verify
+# 30030 --nmax 16 (31 levels) 1.1-1.7 s and 28 MiB, verify 6 --nmax 83333
+# (one level, 41,668 rows) 2.3-3.9 s and 42 MiB, and kronecker --nmax 125000
+# 0.7-1.1 s and 29 MiB.
 TABLE_BOUND = 5 * 10**5
 
 # Largest nmax of the Cohen coefficients (qseries.cohen_coefficients).  On
-# the same machine the divisor-pair sieve and packed theta sum take 0.002 s
-# at nmax = 3000, 0.3 s at 10**5 and 0.7-0.9 s at this bound, where cohen
-# peaks at 41 MiB.  They grow as nmax**1.5: sqrt(nmax) big-int adds of
-# 2*nmax 64-bit fields.  verify needs nmax <= TABLE_BOUND // 6 = 83333
+# the same machine the divisor-pair sieve and packed theta sum take 0.0015 s
+# at nmax = 3000, 0.13 s at 10**5 and 0.55-0.6 s at this bound, where cohen
+# peaks at 39 MiB.  They grow as nmax**1.5: sqrt(nmax) big-int adds of about
+# 2*nmax fields, of 4 bytes up to nmax = 117809 and of 8 bytes above, as
+# theta_rows' guard allows.  verify needs nmax <= TABLE_BOUND // 6 = 83333
 # for every D0 with a level (D0 >= 6), which is below this bound.
 COHEN_BOUND = 2 * 10**5
 
@@ -247,15 +249,23 @@ def fundamental_decomposition(d: int) -> tuple[int, int]:
     return d0, f
 
 
+# the array typecode of each item size, "q" for 8 bytes where "l" has 8 too
+_TYPECODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _typecode(width: int) -> str:
+    if width not in _TYPECODES:
+        raise InternalCheckError(f"no array typecode has {width}-byte items")
+    return _TYPECODES[width]
+
+
 def unpack_fields(value: int, length: int, width: int) -> array:
     """The first ``length`` fields of ``width`` bytes of ``value``, least
     significant first, read as offset binary (exact for fields in
     [-2**(8*width - 1), 2**(8*width - 1))), as an array of ``width``-byte
     items.  Raises InternalCheckError if no array typecode has that size.
     """
-    typecode = next((code for code in "bhilq" if array(code).itemsize == width), None)
-    if typecode is None:
-        raise InternalCheckError(f"no array typecode has {width}-byte items")
+    typecode = _typecode(width)
     mask = (1 << 8 * width * length) - 1
     offset = (_short_sign_bits if length <= 1024 else _sign_bits)(length, width)
     # masked before the offset is added: shifted sums run past length fields
@@ -267,18 +277,35 @@ def unpack_fields(value: int, length: int, width: int) -> array:
     return fields
 
 
-def pack_fields(column: list[int] | array) -> int:
-    """The int sum of column[i] * 2**(64*i): each entry one signed 64-bit
-    field, so that ``unpack_fields(pack_fields(column), len(column), 8)``
-    gives the column back, and sums and products of packed columns are
-    packed sums and convolutions wherever every field stays in range.
+def widen_fields(value: int, length: int) -> array:
+    """The ``length`` 4-byte fields of ``value`` >= 0, least significant
+    first, as an array("q"): each field read as unsigned and zero-extended to
+    8 bytes by four strided byte copies, with no step per field.  Exact for a
+    packed column of entries in [0, 2**32).
     """
-    packed = array("q", column)
+    fields = array("q", [0]) * length
+    data = value.to_bytes(4 * length, "little")
+    with memoryview(fields) as items, items.cast("B") as octets:
+        for i in range(4):
+            octets[i::8] = data[i::4]
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def pack_fields(column: list[int] | array, width: int) -> int:
+    """The int sum of column[i] * 2**(8*width*i): each entry one signed
+    field of ``width`` bytes, so that ``unpack_fields(pack_fields(column,
+    width), len(column), width)`` gives the column back, and sums and
+    products of packed columns are packed sums and convolutions wherever
+    every field stays in range.
+    """
+    packed = array(_typecode(width), column)
     if sys.byteorder == "big":
         packed.byteswap()
-    # XOR with 2**63 in every 64-bit field turns two's complement fields
-    # into offset binary
-    offset = (_short_sign_bits if len(packed) <= 1024 else _sign_bits)(len(packed), 8)
+    # XOR with 2**(8*width - 1) in every field turns two's complement
+    # fields into offset binary
+    offset = (_short_sign_bits if len(packed) <= 1024 else _sign_bits)(len(packed), width)
     return (int.from_bytes(packed, "little") ^ offset) - offset
 
 
@@ -327,9 +354,10 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
     substitution).  A shift of residue r = (xs[0] - s) mod step reads only
     the column table[r::step], so the packed paths pack each such column
     once (``pack_fields``) and decode every row at once (``unpack_fields``).
-    They raise InternalCheckError unless the largest |entry| of the columns
-    times the sum of the counts is below 2**63, or if their first or last
-    row differs from its term-by-term sum.
+    Their fields are 4 bytes wide when the largest |entry| of the columns
+    times the sum of the counts is below 2**31, and 8 bytes otherwise.  They
+    raise InternalCheckError unless that product is below 2**63, or if their
+    first or last row differs from its term-by-term sum.
     """
     x0, step, last = xs[0], xs.step, xs[-1]
     n = bisect_right(shifts, last)
@@ -344,15 +372,17 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
     # holds row k in field k + lift.
     lift = x0 // step
     residues = [(x0 - s) % step for s in shifts]
-    largest, packed = 0, {}
-    for r in set(residues):
-        column = table[r:last + 1:step]
-        largest = max(largest, max(column), -min(column))
-        packed[r] = pack_fields(column)
-        del column  # a copy of table entries, not held while the rows are summed
-    if largest * sum(counts) >= 1 << 63:
-        raise InternalCheckError(f"a row sum of {sum(counts)} weighted terms does not fit "
+    # each column sliced once, held until the guard has read them all
+    columns = {r: table[r:last + 1:step] for r in set(residues)}
+    largest = max((max(max(column), -min(column)) for column in columns.values()), default=0)
+    weight = sum(counts)
+    if largest * weight >= 1 << 63:
+        raise InternalCheckError(f"a row sum of {weight} weighted terms does not fit "
                                  f"64-bit fields")
+    # a field holds an entry, a count or a row sum: each at most
+    # largest * weight unless one of the two is 0
+    width = 4 if max(largest, weight, largest * weight) < 1 << 31 else 8
+    packed = {r: pack_fields(columns.pop(r), width) for r in list(columns)}
     if unary:
         # the shifted columns of each count added up, the largest shift
         # first: later big ints reuse its memory (in ascending order cohen
@@ -360,7 +390,8 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
         # each sum scaled once, with no scaled column held beside it
         sums = {}
         for s, count, r in zip(reversed(shifts), reversed(counts), reversed(residues)):
-            sums[count] = sums.get(count, 0) + (packed[r] << 64 * ((s + r - x0) // step + lift))
+            shift = 8 * width * ((s + r - x0) // step + lift)
+            sums[count] = sums.get(count, 0) + (packed[r] << shift)
         del packed
         total = sum(count * sums.pop(count) for count in list(sums))
     else:
@@ -372,10 +403,10 @@ def theta_rows(table: list[int] | array, shifts: list[int], counts: list[int],
         total = 0
         for r, column in packed.items():
             first = (x0 - r) % step
-            lifted = pack_fields(weights[first::step]) << 64 * ((first + r - x0) // step + lift)
-            total += lifted * column
-    rows = unpack_fields(total, len(xs) + lift, 8)
-    del rows[:lift]
+            shift = 8 * width * ((first + r - x0) // step + lift)
+            total += (pack_fields(weights[first::step], width) << shift) * column
+    rows = unpack_fields(total, len(xs) + lift, width)
+    del total, rows[:lift]  # the sum freed before the rows become ints
     # the first and the last row once more, term by term
     ends = [rows[0], rows[-1]]
     direct = _direct_rows(table, shifts, counts, (x0, last), (bisect_right(shifts, x0), n))

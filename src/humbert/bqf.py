@@ -6,8 +6,10 @@ kept (``class_number``, ``hurwitz``), or as tables (``class_number_table``,
 discriminant up to a bound (``form_count_table``): h by Moebius inversion
 over square divisors, one prime at a time, and 12H directly from the count.
 ``verify`` and ``kronecker`` read only the 12H table.  The count adds bytes
-along strided slices and moves them into the 32-bit fields of one int
-(``arith.unpack_fields``) before any byte could wrap.
+along strided slices and moves them into the 32-bit fields of one int before
+any byte could wrap; ``form_count_table`` reads those fields
+(``arith.unpack_fields``), and ``hurwitz_table`` multiplies the int by 12 and
+widens its fields to 8 bytes (``arith.widen_fields``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple
 
-from .arith import CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, primes_up_to, unpack_fields
+from .arith import (CLASS_NUMBER_BOUND, TABLE_BOUND, is_discriminant, primes_up_to, unpack_fields,
+                    widen_fields)
 
 
 class BQF(NamedTuple):
@@ -110,18 +113,15 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-def form_count_table(x: int) -> array:
-    """The number of reduced forms of discriminant -k, primitive or not, for
-    0 <= k <= x as an array indexed by k (0 where -k is not a discriminant,
-    and at k = 0): the sum of h(-k/g**2) over g**2 | k.
-
-    One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
-    GTM 138, 5.3, run for all discriminants at once): one strided slice per
-    a and pair (b, -b), adding 1 or 2 to one byte per k with
-    ``bytes.translate``.  Before a byte could wrap, from a bound on what one
-    a can add to it, the bytes move into the 32-bit fields of one int, which
-    ``arith.unpack_fields`` reads.  Rejects x > arith.TABLE_BOUND.
-    """
+def _packed_form_counts(x: int) -> int:
+    # The form counts of form_count_table as the x + 1 nonnegative 32-bit
+    # fields of one int.
+    #
+    # One pass over the reduced forms (a, b, c) with 4ac - b**2 <= x (Cohen,
+    # GTM 138, 5.3, run for all discriminants at once): one strided slice per
+    # a and pair (b, -b), adding 1 or 2 to one byte per k with
+    # bytes.translate.  Before a byte could wrap, from a bound on what one a
+    # can add to it, the bytes move into the fields.
     if x < 0:
         raise ValueError("table size must be >= 0")
     if x > TABLE_BOUND:
@@ -149,7 +149,20 @@ def form_count_table(x: int) -> array:
             if start <= x:
                 plane[start] -= 1
     fields[::4] = plane
-    return unpack_fields(total + int.from_bytes(fields, "little"), x + 1, 4)
+    return total + int.from_bytes(fields, "little")
+
+
+def form_count_table(x: int) -> array:
+    """The number of reduced forms of discriminant -k, primitive or not, for
+    0 <= k <= x as an array indexed by k (0 where -k is not a discriminant,
+    and at k = 0): the sum of h(-k/g**2) over g**2 | k.
+
+    The counts come packed in the 32-bit fields of one int from one pass over
+    the reduced forms (Cohen, GTM 138, 5.3, run for all discriminants at
+    once), which ``arith.unpack_fields`` reads.  Rejects x >
+    arith.TABLE_BOUND.
+    """
+    return unpack_fields(_packed_form_counts(x), x + 1, 4)
 
 
 def class_number_table(x: int) -> array:
@@ -210,10 +223,13 @@ def hurwitz_table(x: int) -> array:
 
     Entry 0 is -1, and entry n > 0 is 12 times the form count of -n
     (``form_count_table``) less 8 at n = 3r**2 and 6 at n = 4r**2, where the
-    forms r*(1, 1, 1) and r*(1, 0, 1) weigh 4 and 6 instead of 12.  Rejects
-    x > arith.TABLE_BOUND.
+    forms r*(1, 1, 1) and r*(1, 0, 1) weigh 4 and 6 instead of 12.  The
+    packed counts are multiplied by 12 in one big-int product, whose 32-bit
+    fields stay below 2**31 up to the table bound, and widened to 8-byte
+    items (``arith.widen_fields``) before the corrections.  Rejects x >
+    arith.TABLE_BOUND.
     """
-    table = array("q", map(mul, form_count_table(x), repeat(12)))
+    table = widen_fields(12 * _packed_form_counts(x), x + 1)
     table[0] = -1
     for r in range(1, math.isqrt(x // 3) + 1):
         table[3 * r * r] -= 8

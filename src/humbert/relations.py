@@ -457,8 +457,13 @@ def verify_kronecker(nmax: int) -> Rows:
         min_sums[square + d::d] = map(add, min_sums[square + d::d], repeat(2 * d))
     # the rows n >= 1 as columns: 12 times the left side, the right side
     # 2*sigma(n), and the exact test 12*lhs = 24*sigma(n); each input column
-    # is dropped once it is read
+    # is dropped once it is read, and sigma is doubled in place a block at a
+    # time, so the sums and their doubles are never all held at once
     lhs12 = list(map(add, theta, map(mul, islice(min_sums, 1, None), repeat(12))))
     del theta, min_sums
-    rhs = list(map(mul, islice(sigma_table(nmax), 1, None), repeat(2)))
+    rhs = sigma_table(nmax)
+    for start in range(1, nmax + 1, 4096):
+        block = slice(start, start + 4096)
+        rhs[block] = map(mul, rhs[block], repeat(2))
+    del rhs[0]
     return Rows([KroneckerColumns(lhs12, rhs, list(map(eq, lhs12, map(mul, rhs, repeat(12)))))])

@@ -18,12 +18,14 @@ from humbert.arith import (
     is_prime,
     is_squarefree,
     kronecker,
+    pack_fields,
     prime_divisors,
     primes_up_to,
     sigma,
     sigma_table,
     theta_rows,
     unpack_fields,
+    widen_fields,
 )
 
 
@@ -214,6 +216,27 @@ def test_unpack_fields_round_trip(case):
     assert list(unpacked) == fields_oracle(value, len(fields), width) == fields
 
 
+@example((4, [-2**31, 2**31 - 1, -1, 0], 0))
+@example((8, [-2**63, 2**63 - 1, -1, 0], 0))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 8]).flatmap(signed_fields))
+def test_pack_fields_round_trip(case):
+    # a column packs to the sum of its signed fields and unpacks back
+    width, fields, _ = case
+    packed = pack_fields(fields, width)
+    assert packed == pack(fields, width)
+    assert list(unpack_fields(packed, len(fields), width)) == fields
+
+
+@example([2**32 - 1, 2**31, 2**31 - 1, 1, 0])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=12))
+def test_widen_fields_zero_extends(fields):
+    # unsigned 4-byte fields come back as 8-byte items of the same value
+    widened = widen_fields(pack(fields, 4), len(fields))
+    assert (widened.typecode, list(widened)) == ("q", fields)
+
+
 def test_unpack_fields_needs_an_array_type_of_the_width():
     with pytest.raises(InternalCheckError, match="3-byte items"):
         unpack_fields(0, 1, 3)
@@ -231,6 +254,10 @@ def test_other_host_byte_order_swaps_field_bytes(monkeypatch):
         swapped = [int.from_bytes(f.to_bytes(width, "little", signed=True), "big", signed=True)
                    for f in fields]
         assert list(unpack_fields(pack(fields, width), len(fields), width)) == swapped
+    # widen_fields swaps the eight bytes of each zero-extended field
+    fields = [0x01020304, 2**32 - 1, 1, 0]
+    swapped = [int.from_bytes(f.to_bytes(8, "little"), "big", signed=True) for f in fields]
+    assert list(widen_fields(pack(fields, 4), len(fields))) == swapped
     column = [0x0102030405060708, -1, -2**62, 2**63 - 1, 0, 5]
     assert list(theta_rows(column, [0], [1], range(len(column)))) == column
 
@@ -240,18 +267,27 @@ def theta_rows_oracle(table, shifts, counts, xs):
     return [sum(count * table[x - s] for s, count in zip(shifts, counts) if s <= x) for x in xs]
 
 
-def traced_theta_rows(table, shifts, counts, xs):
-    """The rows of ``theta_rows`` and the path that summed them, told apart
-    by what it packs: nothing on the direct path, each residue column once on
-    the unary path, and its weights besides on the product path."""
+def traced_theta_fields(table, shifts, counts, xs):
+    """The rows of ``theta_rows``, the path that summed them and the width
+    of its packed fields (None on the direct path).  The paths are told apart
+    by what they pack: nothing on the direct path, each residue column once
+    on the unary path, and its weights besides on the product path; every
+    pack and the one decode take the same width."""
     with (mock.patch.object(arith, "pack_fields", wraps=arith.pack_fields) as packs,
           mock.patch.object(arith, "unpack_fields", wraps=arith.unpack_fields) as unpacks):
         rows = theta_rows(table, shifts, counts, xs)
     residues = len({(xs[0] - s) % xs.step for s in shifts if s <= xs[-1]})
     if not unpacks.called:
-        return list(rows), "direct"
+        return list(rows), "direct", None
     assert unpacks.call_count == 1 and packs.call_count in (residues, 2 * residues)
-    return list(rows), "unary" if packs.call_count == residues else "products"
+    (width,) = {call.args[-1] for call in packs.call_args_list + unpacks.call_args_list}
+    return list(rows), "unary" if packs.call_count == residues else "products", width
+
+
+def traced_theta_rows(table, shifts, counts, xs):
+    """The rows of ``theta_rows`` and the path that summed them."""
+    rows, path, _ = traced_theta_fields(table, shifts, counts, xs)
+    return rows, path
 
 
 @st.composite
@@ -313,3 +349,35 @@ def test_theta_rows_reject_entries_a_field_cannot_hold():
     most = (2**63 - 1) // 3
     assert list(theta_rows([most] * 3, [0, 1, 2], [1] * 3, range(3))) == [most, 2 * most, 3 * most]
     assert list(theta_rows([-most] * 3, [0, 1, 2], [1] * 3, range(3))) == [-most, -2 * most, -3 * most]
+
+
+# largest |entry| * sum(counts) = 2**31 - 1 and 2**31 on either path: a
+# single entry of 2**31 - 1 or 2**31 under one count, or entries +-1 under
+# counts summing to either; 2**31 - 1 is prime, so no other split reaches it
+@pytest.mark.parametrize("entries", [[-1] * 9, [1] * 9, [1, -1, -1, 1, -1, 1, 1, -1, -1]])
+@pytest.mark.parametrize("path, shifts, rest, xs", [
+    ("unary", [0, 1], [1], range(0, 4)),
+    ("unary", [0, 1], [1], range(1, 4, 2)),
+    ("products", [0, 1, 2, 3, 4, 5], [1] * 5, range(0, 9)),
+    ("products", [0, 1, 2, 3, 4, 5], [1] * 5, range(2, 9, 2)),
+])
+@pytest.mark.parametrize("bound, width", [(2**31 - 1, 4), (2**31, 8)])
+def test_theta_rows_take_four_byte_fields_below_2_to_31(entries, path, shifts, rest, xs,
+                                                         bound, width):
+    counts = [bound - sum(rest)] + rest
+    table = entries[:xs[-1] + 1]
+    with mock.patch.object(arith, "PRODUCT_TERMS_PER_RESIDUE", 0):
+        rows, taken, taken_width = traced_theta_fields(table, shifts, counts, xs)
+    assert (taken, taken_width) == (path, width)
+    assert rows == theta_rows_oracle(table, shifts, counts, xs)
+    if entries == [-1] * 9:
+        assert min(rows) == -bound
+
+
+@pytest.mark.parametrize("entry, width", [(2**31 - 1, 4), (-(2**31 - 1), 4), (2**31, 8),
+                                          (-2**31, 8)])
+def test_theta_rows_width_of_one_entry_under_one_count(entry, width):
+    table, shifts, counts, xs = [3, entry, -5, 0], [0], [1], range(4)
+    rows, taken, taken_width = traced_theta_fields(table, shifts, counts, xs)
+    assert (taken, taken_width) == ("unary", width)
+    assert rows == theta_rows_oracle(table, shifts, counts, xs) == table

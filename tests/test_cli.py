@@ -398,13 +398,13 @@ def test_cache_option_is_accepted_and_ignored(tmp_path, capsys, monkeypatch, cas
 
 def test_verify_builds_one_table(tmp_path, capsys, monkeypatch):
     # the 12H table is the one count of reduced forms that verify makes
-    real, calls = bqf.form_count_table, []
+    real, calls = bqf._packed_form_counts, []
 
     def counted(x):
         calls.append(x)
         return real(x)
 
-    monkeypatch.setattr(bqf, "form_count_table", counted)
+    monkeypatch.setattr(bqf, "_packed_form_counts", counted)
     cache = tmp_path / "c.bin"
     code, _, err = run(capsys, "verify", "--d0", "30", "--nmax", "40", "--cache", str(cache))
     assert (code, err, calls) == (0, "", [1200])

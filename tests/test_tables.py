@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from humbert.arith import (
+    COHEN_BOUND,
     TABLE_BOUND,
     InternalCheckError,
     fundamental_decomposition,
@@ -45,7 +46,8 @@ from humbert.shimura import (
     volume_term,
     weighted_class_number,
 )
-from test_arith import smallest_prime_factor_sieve, theta_rows_oracle, traced_theta_rows
+from test_arith import (smallest_prime_factor_sieve, theta_rows_oracle, traced_theta_fields,
+                        traced_theta_rows)
 from test_relations import verification_row
 
 # squarefree D0 with one to four primes; 15, 35 and 39 have four-times-primitive forms
@@ -284,7 +286,9 @@ def test_form_count_fields_cannot_overflow_at_table_bound():
     # A 32-bit field of the count holds a sum of increments of its k, read
     # as a signed field by arith.unpack_fields, so none can overflow while
     # all increments together stay below 2**31: 6.2e7 at the bound, under
-    # x*isqrt(x/3)/2 = 1.0e8 (each a adds about x/2).
+    # x*isqrt(x/3)/2 = 1.0e8 (each a adds about x/2).  bqf.hurwitz_table
+    # multiplies the packed counts by 12 and zero-extends the fields, so 12
+    # times that, 7.4e8, must stay below 2**31 too.
     x = TABLE_BOUND
     increments = 0
     for a in range(1, math.isqrt(x // 3) + 1):
@@ -294,6 +298,7 @@ def test_form_count_fields_cannot_overflow_at_table_bound():
             if start <= x:
                 increments += (1 if b in (0, a) else 2) * ((x - start) // step + 1)
     assert increments <= x * math.isqrt(x // 3) // 2 < 2**31
+    assert 12 * increments < 2**31
 
 
 # the first odd and even columns, the squares 1, 4 and 9 that read
@@ -660,25 +665,41 @@ def test_wrong_theta_field_exits_3(capsys, monkeypatch, command):
 
 def test_unary_theta_series_take_the_packed_adds():
     # cohen and kronecker read as many shifts as the rule allows a unary
-    # theta series, isqrt(last) + 1, and take its path
+    # theta series, isqrt(last) + 1, and take its path, in 4-byte fields at
+    # the benchmark's nmax = 3000; cohen at its bound needs 8
     calls = []
 
     def traced(table, shifts, counts, xs):
-        sums, path = traced_theta_rows(table, shifts, counts, xs)
-        calls.append((path, bisect_right(shifts, xs[-1]) - math.isqrt(xs[-1])))
+        sums, path, width = traced_theta_fields(table, shifts, counts, xs)
+        calls.append((path, bisect_right(shifts, xs[-1]) - math.isqrt(xs[-1]), width))
         return sums
 
     with (mock.patch.object(relations, "theta_rows", traced),
           mock.patch.object(qseries, "theta_rows", traced)):
         verify_kronecker(3000)
         qseries.cohen_coefficients(3000)
-    assert calls == [("unary", 1), ("unary", 1)]
+        qseries.cohen_coefficients(COHEN_BOUND)
+    assert calls == [("unary", 1, 4), ("unary", 1, 4), ("unary", 1, 8)]
 
 
 def test_four_times_primitive_rows_are_covered():
     for d0 in (15, 35, 39):
         kinds = {f.kind for f in eligible_forms(d0) if f.D > 1}
         assert "four_times_primitive" in kinds
+
+
+@pytest.mark.parametrize("x", [*range(13), 3000, 12000, TABLE_BOUND])
+def test_hurwitz_table_is_twelve_form_counts_corrected(x):
+    # the packed product and widening against the counts one entry at a
+    # time: 12 times each, -1 at 0, less 8 at 3r**2 and 6 at 4r**2
+    expected = [12 * count for count in form_count_table(x)]
+    expected[0] = -1
+    for r in range(1, math.isqrt(x) + 1):
+        for square, weight in ((3 * r * r, 8), (4 * r * r, 6)):
+            if square <= x:
+                expected[square] -= weight
+    table = hurwitz_table(x)
+    assert (table.typecode, table.tolist()) == ("q", expected)
 
 
 @settings(max_examples=300, deadline=None)
