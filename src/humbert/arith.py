@@ -153,11 +153,11 @@ def sigma(n: int) -> int:
 
 
 def sigma_table(x: int) -> list[int]:
-    """sigma(m) for 0 <= m <= x, with sigma(0) = 0: one sieve over the
-    divisor pairs d*e = m with d <= e, each d <= sqrt(x) adding d + e along
-    the strided slice of its multiples from d*d."""
-    table = [0] * (x + 1)
-    for d in range(1, math.isqrt(x) + 1):
+    """sigma(m) for 0 <= m <= x, with sigma(0) = 0: the pair 1*m seeds m + 1
+    (1 at m = 1), then a sieve over the divisor pairs d*e = m, 2 <= d <= e,
+    adds d + e along the strided slice of each d's multiples from d*d."""
+    table = [0, 1, *range(3, x + 2)] if x else [0]
+    for d in range(2, math.isqrt(x) + 1):
         square = d * d
         table[square] += d
         table[square + d::d] = map(add, table[square + d::d], count(2 * d + 1))

@@ -4,8 +4,8 @@ Commands: cohen, hurwitz, classnum, forms, hdn, verify, kronecker, selfcheck.
 Exit codes: 0 success / everything verified, 1 mathematical mismatch,
 2 usage or configuration error (including an input past a size bound),
 3 an internal cross-check failed, 141 stdout closed early (broken pipe).
-Rational values are printed as "p/q" strings, never as decimals, in every
-output format.
+Each printing command hands ``emit`` one stream of row tuples; rationals are
+"p/q" strings, never decimals, in every output format.
 """
 
 from __future__ import annotations
@@ -40,39 +40,58 @@ def save_cache(path: str, class_numbers) -> None:
 # output
 
 
-def emit(args, command: str, params: dict, columns: list[str], rows, text,
+def emit(args, command: str, params: dict, columns: list[str], rows, line, head=(), tail=(),
          all_match: bool = True, extra: dict | None = None) -> None:
-    """Print a result as json or csv (``rows``: dicts keyed by ``columns``) or
-    as the lines of ``text``; only the iterable the format needs is consumed.
-
-    The json document is the text of ``json.dumps(doc, sort_keys=True)``,
-    written one top-level key and one row at a time, so no list of rows is
-    held."""
+    """Print ``rows``, tuples of ints, bools and strs in ``columns`` order, read
+    once.  text: the ``head`` lines, ``line(row)`` per row, the ``tail`` lines,
+    each ending in a newline.  csv: the columns, the rows.  json: the text of
+    ``json.dumps(doc, sort_keys=True)``, each row an object keyed by ``columns``."""
     if args.format == "json":
         import json
 
-        doc = {"command": command, "params": params, "rows": None, "all_match": all_match}
+        doc = {"command": command, "params": params, "rows": _json_rows(columns, rows),
+               "all_match": all_match}
         doc.update(extra or {})
         encode = json.JSONEncoder(sort_keys=True).encode
-        write = sys.stdout.write
         for i, key in enumerate(sorted(doc)):
-            write(f"{', ' if i else '{'}{encode(key)}: ")
-            if key == "rows":
-                write("[")
-                for j, row in enumerate(rows):
-                    write(f"{', ' if j else ''}{encode(row)}")
-                write("]")
-            else:
-                write(encode(doc[key]))
-        write("}\n")
+            sys.stdout.write(f"{', ' if i else '{'}{encode(key)}: ")
+            sys.stdout.writelines(doc[key] if key == "rows" else [encode(doc[key])])
+        sys.stdout.write("}\n")
     elif args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([row[col] for col in columns] for row in rows)
+        writer.writerows(rows)
     else:
-        sys.stdout.writelines(f"{line}\n" for line in text)
+        sys.stdout.writelines(itertools.chain(head, map(line, rows), tail))
+
+
+def _json_rows(columns: list[str], rows):
+    """The json array of ``rows``, each as ``json.dumps(dict(zip(columns, row)),
+    sort_keys=True)``, 256 rows at a time: one map encodes each column whose
+    cells share a type, and one template with the keys sorted makes each object."""
+    from json.encoder import encode_basestring_ascii as string
+
+    cell = {bool: ("false", "true").__getitem__, int: int.__repr__, str: string}
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    template = "{%s}" % ", ".join(string(columns[i]).replace("%", "%%") + ": %s" for i in order)
+    yield "["
+    rows, separator = iter(rows), ""
+    while block := list(itertools.islice(rows, 256)):
+        cells = []
+        for column in zip(*block):
+            kinds = set(map(type, column))
+            cells.append(map(cell[kinds.pop()], column) if len(kinds) == 1
+                         else [cell[type(value)](value) for value in column])
+        yield separator + ", ".join(map(template.__mod__, zip(*map(cells.__getitem__, order))))
+        separator = ", "
+    yield "]"
+
+
+def _value_line(row) -> str:
+    # the text of a one-value command: its last cell
+    return f"{row[-1]}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -81,42 +100,35 @@ def emit(args, command: str, params: dict, columns: list[str], rows, text,
 
 def cmd_cohen(args) -> int:
     coeffs = cohen_coefficients(args.nmax)
-    emit(args, "cohen", {"nmax": args.nmax}, ["n", "a_n"],
-         ({"n": n, "a_n": a} for n, a in enumerate(coeffs)),
-         (f"{n} {a}" for n, a in enumerate(coeffs)),
+    emit(args, "cohen", {"nmax": args.nmax}, ["n", "a_n"], enumerate(coeffs), "%s %s\n".__mod__,
          extra={"coefficients": coeffs})
     return 0
 
 
 def cmd_hurwitz(args) -> int:
     value = str(bqf.hurwitz(args.n))
-    emit(args, "hurwitz", {"n": args.n}, ["n", "H"], [{"n": args.n, "H": value}], [value])
+    emit(args, "hurwitz", {"n": args.n}, ["n", "H"], [(args.n, value)], _value_line)
     return 0
 
 
 def cmd_classnum(args) -> int:
     value = bqf.class_number(args.d)
-    emit(args, "classnum", {"d": args.d}, ["d", "h"], [{"d": args.d, "h": value}], [value])
+    emit(args, "classnum", {"d": args.d}, ["d", "h"], [(args.d, value)], _value_line)
     return 0
 
 
-def _chars_str(form: genus.EligibleForm) -> str:
-    return ";".join(f"{p}:{form.chars[p]}" for p in sorted(form.chars))
+def _form_line(row) -> str:
+    return ("D0=%s form=(%s,%s,%s) kind=%s chars=%s D=%s N=%s ambiguous=%s |W|=%s%s\n"
+            % (*row[:10], "" if row[10] else "  [D=1: relation not applicable]"))
 
 
 def cmd_forms(args) -> int:
-    rows = [{
-        "D0": f.d0, "a": f.form.a, "b": f.form.b, "c": f.form.c,
-        "kind": f.kind, "chars": _chars_str(f), "D": f.D, "N": f.N,
-        "ambiguous": f.ambiguous, "W": genus.atkin_lehner_group_order(f),
-        "relation_applies": f.D > 1,
-    } for f in genus.eligible_forms(args.d0)]
     emit(args, "forms", {"d0": args.d0},
-         ["D0", "a", "b", "c", "kind", "chars", "D", "N", "ambiguous", "W", "relation_applies"], rows,
-         (f"D0={r['D0']} form=({r['a']},{r['b']},{r['c']}) kind={r['kind']} "
-          f"chars={r['chars']} D={r['D']} N={r['N']} ambiguous={r['ambiguous']} "
-          f"|W|={r['W']}" + ("" if r["relation_applies"] else "  [D=1: relation not applicable]")
-          for r in rows))
+         ["D0", "a", "b", "c", "kind", "chars", "D", "N", "ambiguous", "W", "relation_applies"],
+         ((f.d0, f.form.a, f.form.b, f.form.c, f.kind,
+           ";".join(f"{p}:{f.chars[p]}" for p in sorted(f.chars)), f.D, f.N, f.ambiguous,
+           genus.atkin_lehner_group_order(f), f.D > 1) for f in genus.eligible_forms(args.d0)),
+         _form_line)
     return 0
 
 
@@ -134,7 +146,7 @@ def cmd_hdn(args) -> int:
     value = str(weighted_class_number(level, args.m))
     m = str(args.m)
     emit(args, "hdn", {"D": args.D, "N": args.N, "m": m}, ["D", "N", "m", "H"],
-         [{"D": args.D, "N": args.N, "m": m, "H": value}], [value])
+         [(args.D, args.N, m, value)], _value_line)
     return 0
 
 
@@ -154,15 +166,16 @@ def _counterexample(report: relations.VerificationReport) -> dict:
                       for u, v, m, h in report.counterexample.terms]}
 
 
-def _verify_sides(blocks):
-    # (form, n, lhs, rhs, match) of each row, the sides as "p/q" strings; a
-    # matching row prints one string for both
+def _verify_rows(blocks):
+    # (D0, a, b, c, D, N, n, lhs, rhs, match) of each row, the sides as "p/q"
+    # strings; a matching row prints one string for both
     for block in blocks:
-        form, denominator = block.form, block.denominator
+        f, denominator = block.form, block.denominator
+        form = (f.d0, f.form.a, f.form.b, f.form.c, f.D, f.N)
         for n, numerator, target, match in zip(block.n, block.numerators, block.targets,
                                                block.match):
             rhs = _ratio(target, denominator)
-            yield form, n, rhs if match else _ratio(numerator, denominator), rhs, match
+            yield (*form, n, rhs if match else _ratio(numerator, denominator), rhs, match)
 
 
 def cmd_verify(args) -> int:
@@ -175,21 +188,15 @@ def cmd_verify(args) -> int:
             return 2
         only_form = bqf.BQF(a, b, c)
     report = relations.verify_relation(args.d0, args.nmax, only_form)
-    blocks, skipped, all_match = report.rows.blocks, report.skipped, report.all_match
+    skipped, all_match = report.skipped, report.all_match
     dump = None if all_match else _counterexample(report)
-    text = itertools.chain(
-        (f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}"
-         for s in skipped),
-        (f"D0={f.d0} form=({f.form.a},{f.form.b},{f.form.c}) D={f.D} N={f.N} "
-         f"n={n} lhs={lhs} rhs={rhs} match={match}"
-         for f, n, lhs, rhs, match in _verify_sides(blocks)),
-        [f"all_match={all_match} rows={len(report.rows)} skipped={len(skipped)}"])
     emit(args, "verify", {"d0": args.d0, "nmax": args.nmax, "jobs": args.jobs},
          ["D0", "a", "b", "c", "D", "N", "n", "lhs", "rhs", "match"],
-         ({"D0": f.d0, "a": f.form.a, "b": f.form.b, "c": f.form.c, "D": f.D, "N": f.N,
-           "n": n, "lhs": lhs, "rhs": rhs, "match": match}
-          for f, n, lhs, rhs, match in _verify_sides(blocks)),
-         text, all_match,
+         _verify_rows(report.rows.blocks),
+         "D0=%s form=(%s,%s,%s) D=%s N=%s n=%s lhs=%s rhs=%s match=%s\n".__mod__,
+         [f"skipped form=({s.form.a},{s.form.b},{s.form.c}) D={s.D} N={s.N}: {s.reason}\n"
+          for s in skipped],
+         [f"all_match={all_match} rows={len(report.rows)} skipped={len(skipped)}\n"], all_match,
          {"skipped": [{"a": s.form.a, "b": s.form.b, "c": s.form.c, "reason": s.reason}
                       for s in skipped],
           **({} if dump is None else {"counterexample": dump})})
@@ -204,25 +211,17 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _kronecker_sides(columns: relations.KroneckerColumns):
-    # (n, lhs, rhs, match) of each row, the sides as "p/q" strings; a
-    # matching row prints 2*sigma(n) for both
-    for n, lhs12, rhs, match in zip(itertools.count(1), columns.lhs12, columns.rhs, columns.match):
-        rhs = str(rhs)
-        yield n, rhs if match else _ratio(lhs12, 12), rhs, match
-
-
 def cmd_kronecker(args) -> int:
     rows = relations.verify_kronecker(args.nmax)
     (columns,) = rows.blocks
     all_match = rows.first_mismatch() is None
+    # the sides as "p/q" strings; a matching row prints 2*sigma(n) for both
     emit(args, "kronecker", {"nmax": args.nmax}, ["n", "lhs", "rhs", "match"],
-         ({"n": n, "lhs": lhs, "rhs": rhs, "match": match}
-          for n, lhs, rhs, match in _kronecker_sides(columns)),
-         itertools.chain((f"n={n} lhs={lhs} rhs={rhs} match={match}"
-                          for n, lhs, rhs, match in _kronecker_sides(columns)),
-                         [f"all_match={all_match}"]),
-         all_match)
+         ((n, rhs if match else _ratio(lhs12, 12), rhs, match)
+          for n, lhs12, rhs, match in zip(itertools.count(1), columns.lhs12,
+                                          map(str, columns.rhs), columns.match)),
+         "n=%s lhs=%s rhs=%s match=%s\n".__mod__, tail=[f"all_match={all_match}\n"],
+         all_match=all_match)
     return 0 if all_match else 1
 
 

@@ -167,6 +167,12 @@ def test_sigma_table_matches_sigma(x):
     assert sigma_table(x) == [0] + [sigma(m) for m in range(1, x + 1)]
 
 
+def test_sigma_table_is_a_prefix_of_every_longer_table():
+    # the seed of d = 1 and the sieve's start at d = 2 at every length
+    full = sigma_table(299)
+    assert all(sigma_table(x) == full[:x + 1] for x in range(300))
+
+
 def test_is_squarefree():
     assert is_squarefree(10)
     assert not is_squarefree(12)
